@@ -11,7 +11,6 @@ from .accountant import (
     Guarantee,
     GuaranteeMethod,
     LambdaGrid,
-    MomentEntry,
     MomentSource,
     PrivacyLedger,
     QueryMoment,
@@ -67,7 +66,6 @@ __all__ = [
     "GuaranteeMethod",
     "LambdaGrid",
     "MechanismParams",
-    "MomentEntry",
     "MomentSource",
     "OutcomeDistribution",
     "PrivacyLedger",

@@ -13,7 +13,7 @@ available per query:
     winner is overwhelmingly likely, i.e. when an upper bound q on
     Pr[outcome != winner] stays below a gamma-dependent threshold.
 
-Per-query entries take the smaller applicable bound.  Across queries the
+Each query books the smaller applicable bound per order.  Across queries the
 moments add, and the final (epsilon, delta) guarantee comes from the tail
 bound  delta = min_l exp(alpha_total(l) - l * epsilon), rearranged for
 epsilon at a target delta.
@@ -39,7 +39,7 @@ _DENOMINATOR_GUARD = 1e-12
 
 
 class MomentSource(enum.Enum):
-    """Which bound produced a per-order moment entry."""
+    """Which bound produced a query's moment bound at one order."""
 
     DATA_INDEPENDENT = "DataIndependent"
     DATA_DEPENDENT = "DataDependent"
@@ -81,56 +81,47 @@ class LambdaGrid:
 
 
 @dataclass(frozen=True, slots=True)
-class MomentEntry:
-    order: int
-    alpha: float
-    source: MomentSource
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"moment order must be >= 1, got {self.order}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"moment bound must be non-negative, got {self.alpha!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class QueryMoment:
-    """Per-query moment bounds with provenance.
+    """One booked query: its q bound and one moment bound per order.
 
-    ``q_bound`` is the upper bound on Pr[outcome != plurality winner] used
-    to decide whether the data-dependent bound applied; each entry records
-    which bound won at its order.
+    ``orders``, ``alphas`` and ``sources`` are aligned tuples: ``alphas[k]``
+    bounds the moment at ``orders[k]``, and ``sources[k]`` records which
+    bound won there.  ``q_bound`` is the upper bound on Pr[outcome !=
+    plurality winner] used to decide whether the data-dependent bound
+    applied.
     """
 
     query_id: str
     gamma: float
     q_bound: float
-    entries: tuple[MomentEntry, ...]
+    orders: tuple[int, ...]
+    alphas: tuple[float, ...]
+    sources: tuple[MomentSource, ...]
 
     def __post_init__(self):
         if not 0.0 <= self.q_bound <= 1.0:
             raise ValueError(f"q_bound must lie in [0, 1], got {self.q_bound!r}")
-        if not self.entries:
-            raise ValueError("QueryMoment needs at least one entry")
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(e.order for e in self.entries)
-
-    def alpha(self, order: int) -> float:
-        for e in self.entries:
-            if e.order == order:
-                return e.alpha
-        raise KeyError(f"no moment recorded at order {order}")
+        if not 0 < len(self.orders) == len(self.alphas) == len(self.sources):
+            raise ValueError(
+                "QueryMoment needs equally many orders, alphas and sources, at least "
+                f"one; got {len(self.orders)}, {len(self.alphas)}, {len(self.sources)}")
+        for order in self.orders:
+            if order < 1:
+                raise ValueError(f"moment order must be >= 1, got {order}")
+        for alpha in self.alphas:
+            if not alpha >= 0.0:
+                raise ValueError(f"moment bound must be non-negative, got {alpha!r}")
 
 
 @dataclass
 class PrivacyLedger:
-    """Append-only log of per-query moments; the composition source of truth.
+    """Append-only log of booked queries; the composition source of truth.
 
     Metadata pins the mechanism configuration: one gamma, one lambda grid,
-    one master seed per ledger.  Appends with a mismatched gamma or grid
-    are rejected so composition never silently mixes configurations.
+    one master seed per ledger.  ``append`` is the only way in, and it
+    rejects a query booked with another gamma or another order tuple, so
+    every stored ``QueryMoment`` has exactly the grid's orders and
+    composition never silently mixes configurations.
     """
 
     gamma: float
@@ -151,7 +142,7 @@ class PrivacyLedger:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[QueryMoment]:
-        return iter(tuple(self._entries))
+        return iter(self._entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,12 +262,12 @@ def per_query_moment(hist: VoteHistogram, gamma: float, grid: LambdaGrid,
     Computes q from the raw (un-noised) histogram, takes the smaller of the
     data-independent and (when q is below threshold) data-dependent bounds
     at each order, and records which one won.  Because q depends on the
-    actual votes, the resulting entries — and any epsilon derived from them
+    actual votes, the resulting bounds — and any epsilon derived from them
     — are themselves data-dependent quantities.
     """
     qb = q_upper_bound(hist, gamma)
     usable = qb < q_threshold(gamma)
-    entries = []
+    alphas, sources = [], []
     for order in grid.values:
         indep = data_independent_moment(gamma, order)
         alpha, source = indep, MomentSource.DATA_INDEPENDENT
@@ -288,9 +279,10 @@ def per_query_moment(hist: VoteHistogram, gamma: float, grid: LambdaGrid,
             else:
                 if dep < indep:
                     alpha, source = dep, MomentSource.DATA_DEPENDENT
-        entries.append(MomentEntry(order=order, alpha=alpha, source=source))
-    return QueryMoment(query_id=query_id, gamma=gamma, q_bound=qb,
-                       entries=tuple(entries))
+        alphas.append(alpha)
+        sources.append(source)
+    return QueryMoment(query_id=query_id, gamma=gamma, q_bound=qb, orders=grid.values,
+                       alphas=tuple(alphas), sources=tuple(sources))
 
 
 def compose(ledger: PrivacyLedger) -> dict[int, float]:
@@ -301,12 +293,8 @@ def compose(ledger: PrivacyLedger) -> dict[int, float]:
     """
     totals = {order: 0.0 for order in ledger.lambda_grid.values}
     for moment in ledger:
-        if moment.orders != ledger.lambda_grid.values:
-            raise ValueError(
-                f"ledger grid is {ledger.lambda_grid.values}, "
-                f"entry {moment.query_id!r} has {moment.orders}")
-        for entry in moment.entries:
-            totals[entry.order] += entry.alpha
+        for order, alpha in zip(moment.orders, moment.alphas):
+            totals[order] += alpha
     return totals
 
 

@@ -105,9 +105,10 @@ def _cmd_aggregate(args) -> int:
         print(f"warning: {args.votes} contains no vote records; "
               "writing header-only outputs", file=sys.stderr)
     labels, ledger = aggregate_votes(records, args.gamma, args.seed, grid)
-    header = provenance(args.gamma, grid, args.seed)
-    write_labels(args.labels_out, header, labels)
+    # Book the spend before releasing any label: a failed ledger write
+    # must leave no labels behind.
     write_ledger(args.ledger_out, ledger)
+    write_labels(args.labels_out, provenance(args.gamma, grid, args.seed), labels)
     print(f"aggregated {len(labels)} queries at gamma={args.gamma} "
           f"(noise scale 1/gamma = {1.0 / args.gamma:g}) -> "
           f"{args.labels_out}, {args.ledger_out}", file=sys.stderr)

@@ -20,7 +20,6 @@ from pathlib import Path
 from .accountant import (
     Guarantee,
     LambdaGrid,
-    MomentEntry,
     MomentSource,
     PrivacyLedger,
     QueryMoment,
@@ -118,8 +117,8 @@ def _moment_to_obj(moment: QueryMoment) -> dict:
         "gamma": moment.gamma,
         "q_bound": moment.q_bound,
         "moments": [
-            {"lambda": e.order, "alpha": e.alpha, "source": e.source.value}
-            for e in moment.entries
+            {"lambda": order, "alpha": alpha, "source": source.value}
+            for order, alpha, source in zip(moment.orders, moment.alphas, moment.sources)
         ],
     }
 
@@ -134,13 +133,12 @@ def write_ledger(path, ledger: PrivacyLedger) -> None:
 
 def _parse_ledger_entry(path, line_no: int, obj) -> QueryMoment:
     try:
-        entries = tuple(
-            MomentEntry(order=e["lambda"], alpha=e["alpha"],
-                        source=MomentSource(e["source"]))
-            for e in obj["moments"]
-        )
+        moments = obj["moments"]
         return QueryMoment(query_id=obj["query_id"], gamma=obj["gamma"],
-                           q_bound=obj["q_bound"], entries=entries)
+                           q_bound=obj["q_bound"],
+                           orders=tuple(e["lambda"] for e in moments),
+                           alphas=tuple(e["alpha"] for e in moments),
+                           sources=tuple(MomentSource(e["source"]) for e in moments))
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
 

@@ -109,11 +109,20 @@ def tally_votes(labels, m: int) -> VoteHistogram:
     return VoteHistogram(tuple(counts))
 
 
+def _laplace_quantile(u, b: float):
+    """Laplace(0, b) quantile of ``u`` in (0, 1), elementwise over numpy input.
+
+    The one noise transform in the package; every Laplace draw goes through it.
+    """
+    return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+
+
 def laplace_inverse_cdf(u: float, b: float) -> float:
     """Quantile function of the Laplace distribution with location 0, scale b.
 
-    Returns the x with CDF(x) = u.  This is the sole noise transform in the
-    package: feeding it a seeded uniform stream makes every run replayable.
+    Returns the x with CDF(x) = u, computed by the same transform the
+    mechanism applies to its seeded uniform stream, so a scalar call
+    reproduces a mechanism draw bit for bit.
 
     Raises ValueError unless 0 < u < 1 and b > 0.
     """
@@ -122,9 +131,7 @@ def laplace_inverse_cdf(u: float, b: float) -> float:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
     if not b > 0.0:
         raise ValueError(f"scale b must be positive, got {b!r}")
-    if u < 0.5:
-        return b * math.log(2.0 * u)
-    return -b * math.log(2.0 * (1.0 - u))
+    return float(_laplace_quantile(np.float64(u), b))
 
 
 def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
@@ -135,8 +142,7 @@ def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     representable uniform instead of rejected, so stream positions never
     depend on draw values.
     """
-    u = np.maximum(rng.random(size), _MIN_UNIFORM)
-    return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+    return _laplace_quantile(np.maximum(rng.random(size), _MIN_UNIFORM), b)
 
 
 def noisy_argmax(hist: VoteHistogram, params: MechanismParams,

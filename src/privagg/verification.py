@@ -131,9 +131,9 @@ def soundness_sweep(num_cases: int, seed: int = 0,
 
         moment = per_query_moment(hist, gamma, grid)
         for pair in enumerate_neighbors(hist):
-            for entry in moment.entries:
-                moments.record(exact_moment(pair, gamma, entry.order),
-                               entry.alpha, QUADRATURE_TOLERANCE)
+            for order, alpha in zip(moment.orders, moment.alphas):
+                moments.record(exact_moment(pair, gamma, order), alpha,
+                               QUADRATURE_TOLERANCE)
             pure_dp.record(empirical_eps(pair, gamma), 2.0 * gamma, PURE_DP_TOLERANCE)
     return report
 
@@ -163,7 +163,8 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
         mc_seed = int(derive_rng(seed, ORACLE_MC, case).integers(0, 2**63))
         freqs = mc_outcome_frequencies(hist, gamma, trials, seed=mc_seed).probs
         for p, f in zip(probs, freqs):
-            band = 4.0 * math.sqrt(p * (1.0 - p) / trials) + 10.0 / trials
+            # A quadrature p can round to just above 1; floor its variance at 0.
+            band = 4.0 * math.sqrt(max(0.0, p * (1.0 - p)) / trials) + 10.0 / trials
             agreement.record(abs(f - p), band, 0.0)
     return report
 

@@ -8,6 +8,7 @@ from privagg import (
     LambdaGrid,
     MomentSource,
     PrivacyLedger,
+    QueryMoment,
     VoteHistogram,
     compose,
     data_dependent_moment,
@@ -142,23 +143,46 @@ class TestPerQueryMoment:
         # q bound by hand: 9 * (2 + 12.5) / (4 * e^12.5)
         assert moment.q_bound == pytest.approx(
             9 * (2 + 12.5) / (4 * math.exp(12.5)), rel=1e-12)
-        entry = moment.entries[0]
-        assert entry.source is MomentSource.DATA_DEPENDENT
-        assert entry.alpha < 0.005  # data-independent would be 0.01
+        assert moment.sources[0] is MomentSource.DATA_DEPENDENT
+        assert moment.alphas[0] < 0.005  # data-independent would be 0.01
 
     def test_flat_histogram_falls_back(self):
         moment = per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)
         assert moment.q_bound == 0.5
-        assert all(e.source is MomentSource.DATA_INDEPENDENT for e in moment.entries)
-        assert all(e.alpha == data_independent_moment(0.05, e.order)
-                   for e in moment.entries)
+        assert all(s is MomentSource.DATA_INDEPENDENT for s in moment.sources)
+        assert all(alpha == data_independent_moment(0.05, order)
+                   for order, alpha in zip(moment.orders, moment.alphas))
 
     @given(hist=histograms(), gamma=st.floats(min_value=0.01, max_value=1.0))
     def test_never_exceeds_data_independent_bound(self, hist, gamma):
         moment = per_query_moment(hist, gamma, GRID)
-        for entry in moment.entries:
-            assert entry.alpha <= data_independent_moment(gamma, entry.order)
-            assert entry.alpha >= 0.0
+        for order, alpha in zip(moment.orders, moment.alphas):
+            assert alpha <= data_independent_moment(gamma, order)
+            assert alpha >= 0.0
+
+
+class TestQueryMoment:
+    def make(self, **changes):
+        fields = dict(query_id="q", gamma=0.05, q_bound=0.5, orders=(1, 2),
+                      alphas=(0.01, 0.03), sources=(MomentSource.DATA_INDEPENDENT,) * 2)
+        fields.update(changes)
+        return QueryMoment(**fields)
+
+    def test_valid(self):
+        assert self.make().alphas == (0.01, 0.03)
+
+    @pytest.mark.parametrize("changes", [
+        dict(orders=(0, 1)),
+        dict(alphas=(0.01, -1e-3)),
+        dict(alphas=(math.nan, 0.03)),
+        dict(q_bound=1.5),
+        dict(orders=(), alphas=(), sources=()),
+        dict(alphas=(0.01,)),
+        dict(sources=(MomentSource.DATA_INDEPENDENT,) * 3),
+    ])
+    def test_invalid(self, changes):
+        with pytest.raises(ValueError):
+            self.make(**changes)
 
 
 def _uniform_ledger(num_queries, gamma=0.05, hist=VoteHistogram((10, 10))):

@@ -105,7 +105,7 @@ class TestAggregate:
         assert len(ledger) == 3
         for moment in ledger:
             assert moment.q_bound < q_threshold(0.05)
-            assert all(e.source is MomentSource.DATA_DEPENDENT for e in moment.entries)
+            assert all(s is MomentSource.DATA_DEPENDENT for s in moment.sources)
 
     def test_deterministic_in_seed(self):
         records = read_votes(DATA / "votes_100.jsonl")
@@ -142,6 +142,8 @@ class TestCliAggregateAccount:
         self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
                  "--seed", "0", "--labels-out", labels, "--ledger-out", ledger)
         self.run("account", ledger, "--delta", "1e-5", "--output", out)
+        assert labels.read_bytes() == (DATA / "expected_labels.jsonl").read_bytes()
+        assert ledger.read_bytes() == (DATA / "expected_ledger.jsonl").read_bytes()
         assert out.read_bytes() == (DATA / "expected_guarantee.json").read_bytes()
 
     def test_cli_equals_in_process_pipeline(self, tmp_path):
@@ -169,6 +171,14 @@ class TestCliAggregateAccount:
                         "--labels-out", tmp_path / "l.jsonl",
                         "--ledger-out", tmp_path / "g.jsonl") == 1
         assert ":1" in capsys.readouterr().err
+
+    def test_failed_ledger_write_releases_no_labels(self, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        assert self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
+                        "--labels-out", labels,
+                        "--ledger-out", tmp_path / "missing" / "ledger.jsonl") == 1
+        assert "error" in capsys.readouterr().err
+        assert not labels.exists()
 
     def test_delta_zero_exits_one(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
@@ -226,6 +236,13 @@ class TestCliVerify:
         for seed in range(4):
             assert main(["verify", "--cases", "5", "--trials", "0",
                          "--seed", str(seed)]) == 0
+
+    def test_mc_crosscheck_survives_unanimous_histogram(self, capsys):
+        # MC case 7 of this seed is a unanimous 3-class histogram at gamma
+        # 0.92, whose quadrature win probability rounds to just above 1.
+        assert main(["verify", "--cases", "1", "--mc-cases", "11", "--trials", "1000",
+                     "--seed", "21003"]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 0
 
     def test_bound_violation_exits_two(self, monkeypatch, capsys):
         import privagg.cli as cli
