@@ -14,6 +14,7 @@ from .accountant import (
     MomentSource,
     PrivacyLedger,
     QueryMoment,
+    book,
     compose,
     data_dependent_moment,
     data_independent_moment,
@@ -31,6 +32,7 @@ from .mechanism import (
     gap,
     laplace_inverse_cdf,
     noisy_argmax,
+    noisy_labels,
     plurality,
     tally_votes,
 )
@@ -74,6 +76,7 @@ __all__ = [
     "UnsupportedSizeError",
     "VerificationReport",
     "VoteHistogram",
+    "book",
     "budget_report",
     "compose",
     "data_dependent_moment",
@@ -88,6 +91,7 @@ __all__ = [
     "mc_outcome_frequencies",
     "moments_guarantee",
     "noisy_argmax",
+    "noisy_labels",
     "outcome_distribution",
     "per_query_moment",
     "plurality",

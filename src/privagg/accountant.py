@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .mechanism import VoteHistogram, plurality
+from .mechanism import MechanismParams, VoteHistogram, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound; cannot trigger for q below the validity threshold
@@ -99,6 +99,8 @@ class QueryMoment:
     sources: tuple[MomentSource, ...]
 
     def __post_init__(self):
+        if not isinstance(self.query_id, str):
+            raise ValueError(f"query_id must be a string, got {self.query_id!r}")
         if not 0.0 <= self.q_bound <= 1.0:
             raise ValueError(f"q_bound must lie in [0, 1], got {self.q_bound!r}")
         if not 0 < len(self.orders) == len(self.alphas) == len(self.sources):
@@ -283,6 +285,17 @@ def per_query_moment(hist: VoteHistogram, gamma: float, grid: LambdaGrid,
         sources.append(source)
     return QueryMoment(query_id=query_id, gamma=gamma, q_bound=qb, orders=grid.values,
                        alphas=tuple(alphas), sources=tuple(sources))
+
+
+def book(hists, query_ids, params: MechanismParams, grid: LambdaGrid) -> PrivacyLedger:
+    """New ledger with one ``per_query_moment`` per (histogram, query_id) pair.
+
+    The one loop that books a batch of queries.
+    """
+    ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=params.seed)
+    for hist, query_id in zip(hists, query_ids, strict=True):
+        ledger.append(per_query_moment(hist, params.gamma, grid, query_id=query_id))
+    return ledger
 
 
 def compose(ledger: PrivacyLedger) -> dict[int, float]:

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .accountant import LambdaGrid, PrivacyLedger, per_query_moment
+from .accountant import LambdaGrid, PrivacyLedger, book, compose
 from .accountant import moments_guarantee, strong_composition_eps
 from .formats import (
     FileFormatError,
@@ -34,8 +34,7 @@ from .formats import (
     write_ledger,
     write_sweep_csv,
 )
-from .mechanism import MechanismParams, noisy_argmax
-from .seeding import derive_rng, MECHANISM_NOISE
+from .mechanism import MechanismParams, noisy_labels
 from .simulation import BudgetReport, EnsembleConfig, ErrorModel, budget_report, sweep_gamma
 from .verification import run_verification
 
@@ -53,14 +52,10 @@ def aggregate_votes(records: list[VoteRecord], gamma: float, seed: int,
     CLI 'aggregate' subcommand is exactly this plus file IO.
     """
     params = MechanismParams(gamma=gamma, seed=seed)
-    ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=seed)
-    labels = []
-    for i, record in enumerate(records):
-        rng = derive_rng(seed, MECHANISM_NOISE, i)
-        labels.append((record.query_id, noisy_argmax(record.histogram, params, rng=rng)))
-        ledger.append(per_query_moment(record.histogram, params.gamma, grid,
-                                       query_id=record.query_id))
-    return labels, ledger
+    hists = [record.histogram for record in records]
+    query_ids = [record.query_id for record in records]
+    labels = list(zip(query_ids, noisy_labels(hists, params)))
+    return labels, book(hists, query_ids, params, grid)
 
 
 def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
@@ -76,11 +71,11 @@ def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
 
 
 def budget_report_obj(report: BudgetReport, config: EnsembleConfig) -> dict:
-    obj = provenance(report.gamma, report.lambda_grid, config.seed)
+    """Budget JSON object: the ledger's guarantee plus the run's own keys."""
+    obj = account_obj(report.ledger, report.delta)
     obj.update({
-        "noise_scale": 1.0 / report.gamma,
         "delta": report.delta,
-        "num_queries": report.num_queries,
+        "num_queries": len(report.ledger),
         "aggregate_accuracy": None if math.isnan(report.aggregate_accuracy)
                               else report.aggregate_accuracy,
         "ensemble": {
@@ -89,13 +84,18 @@ def budget_report_obj(report: BudgetReport, config: EnsembleConfig) -> dict:
             "teacher_accuracy": config.teacher_accuracy,
             "error_model": config.error_model.value,
         },
-        "alpha_totals": {str(k): v for k, v in sorted(report.totals.items())},
-        "moments": guarantee_to_obj(report.moments, report.lambda_grid,
-                                    report.num_queries),
-        "strong_composition": guarantee_to_obj(report.strong_composition,
-                                               report.lambda_grid, report.num_queries),
+        "alpha_totals": {str(k): v for k, v in sorted(compose(report.ledger).items())},
     })
     return obj
+
+
+def _emit_json(obj: dict, output, note: str) -> None:
+    """Write ``obj`` to ``output`` and ``note`` to stderr, or ``obj`` to stdout."""
+    if output:
+        write_json(output, obj)
+        print(note, file=sys.stderr)
+    else:
+        sys.stdout.write(dump_json(obj))
 
 
 def _cmd_aggregate(args) -> int:
@@ -119,14 +119,8 @@ def _cmd_account(args) -> int:
     ledger = read_ledger(args.ledger)
     if not 0.0 < args.delta < 1.0:
         raise ValueError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
-    obj = account_obj(ledger, args.delta)
-    text = dump_json(obj)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"guarantee for {len(ledger)} queries -> {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _emit_json(account_obj(ledger, args.delta), args.output,
+               f"guarantee for {len(ledger)} queries -> {args.output}")
     return EXIT_OK
 
 
@@ -171,13 +165,7 @@ def _cmd_verify(args) -> int:
     obj = {"format_version": FORMAT_VERSION, "seed": args.seed,
            "lambda_grid": list(range(1, args.lambda_max + 1))}
     obj.update(report.to_dict())
-    text = dump_json(obj)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"verification report -> {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _emit_json(obj, args.output, f"verification report -> {args.output}")
     if report.failures:
         print(f"verification FAILED: {report.failures} bound violations "
               f"(max violation {report.max_violation:.3e})", file=sys.stderr)

@@ -9,11 +9,16 @@ Votes come one record per line, either pre-tallied or as raw labels:
 Label records are tallied on ingest; mixed forms are fine but every record
 must agree on the class count.  Ledgers and label files start with a header
 object carrying {format_version, gamma, lambda_grid, seed} so outputs are
-self-describing.  Parse errors always name the offending line.
+self-describing.  Parse errors always name the offending line, and a
+query_id may appear only once per votes or ledger file.  Every writer
+replaces its target atomically: a failed write leaves the old file intact.
 """
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,9 +72,16 @@ def _parse_vote_record(path, line_no: int, obj) -> VoteRecord:
     return VoteRecord(query_id=query_id, histogram=hist)
 
 
+def _check_unique(path, line_no: int, query_id: str, seen: dict[str, int]) -> None:
+    first = seen.setdefault(query_id, line_no)
+    if first != line_no:
+        raise _fail(path, line_no, f"duplicate query_id {query_id!r} (first on line {first})")
+
+
 def read_votes(path) -> list[VoteRecord]:
     """Parse a votes JSONL file; empty files yield an empty list."""
     records: list[VoteRecord] = []
+    seen: dict[str, int] = {}
     num_classes = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -81,6 +93,7 @@ def read_votes(path) -> list[VoteRecord]:
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
             record = _parse_vote_record(path, line_no, obj)
+            _check_unique(path, line_no, record.query_id, seen)
             if num_classes is None:
                 num_classes = record.histogram.num_classes
             elif record.histogram.num_classes != num_classes:
@@ -104,8 +117,20 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _replacing(path):
+    """Write to a temp file beside ``path``; move it over ``path`` only on success."""
+    tmp = Path(f"{path}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful replace
+
+
 def write_labels(path, header: dict, labels: list[tuple[str, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
         for query_id, label in labels:
             fh.write(_dump({"query_id": query_id, "label": label}) + "\n")
@@ -125,7 +150,7 @@ def _moment_to_obj(moment: QueryMoment) -> dict:
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
     header = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
         for moment in ledger:
             fh.write(_dump(_moment_to_obj(moment)) + "\n")
@@ -163,12 +188,14 @@ def read_ledger(path) -> PrivacyLedger:
         raise _fail(path, line_no, f"invalid JSON header: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger header: {exc}") from exc
+    seen: dict[str, int] = {}
     for line_no, line in lines[1:]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
         moment = _parse_ledger_entry(path, line_no, obj)
+        _check_unique(path, line_no, moment.query_id, seen)
         try:
             ledger.append(moment)
         except ValueError as exc:
@@ -194,12 +221,13 @@ def dump_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(dump_json(obj))
 
 
 def write_sweep_csv(path, result: SweepResult, header: dict) -> None:
     """Sweep table as CSV with a provenance comment line on top."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write("# provenance " + _dump(header) + "\n")
         fh.write("gamma,accuracy,mean_gap,mean_normalized_gap\n")
         for point in result.points:

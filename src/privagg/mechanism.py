@@ -43,7 +43,7 @@ class VoteHistogram:
     def __post_init__(self):
         coerced = []
         for j, c in enumerate(self.counts):
-            if not isinstance(c, numbers.Integral):
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
                 raise ValueError(f"count for class {j} is not an integer: {c!r}")
             c = int(c)
             if c < 0:
@@ -100,7 +100,7 @@ def tally_votes(labels, m: int) -> VoteHistogram:
         raise ValueError(f"need at least 2 classes, got m={m}")
     counts = [0] * m
     for i, label in enumerate(labels):
-        if not isinstance(label, numbers.Integral):
+        if isinstance(label, bool) or not isinstance(label, numbers.Integral):
             raise ValueError(f"label at position {i} is not an integer: {label!r}")
         label = int(label)
         if not 0 <= label < m:
@@ -162,6 +162,17 @@ def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
     noise = _draw_noise(rng, params.scale, hist.num_classes)
     perturbed = np.asarray(hist.counts, dtype=float) + noise
     return int(np.argmax(perturbed))
+
+
+def noisy_labels(hists, params: MechanismParams, *stream: int) -> list[int]:
+    """Noisy argmax of each histogram; query i uses path (MECHANISM_NOISE, *stream, i).
+
+    The one loop that draws mechanism noise for a batch.  ``seeding`` lists
+    the ``stream`` prefix each caller passes.
+    """
+    return [noisy_argmax(hist, params,
+                         rng=derive_rng(params.seed, MECHANISM_NOISE, *stream, i))
+            for i, hist in enumerate(hists)]
 
 
 def plurality(hist: VoteHistogram) -> int:

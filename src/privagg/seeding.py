@@ -12,6 +12,12 @@ Domain codes (first path element):
     2  synthetic true labels
     3  Monte Carlo oracle trials
     4  verification-sweep case generation
+
+Mechanism noise paths; batches are drawn only by ``mechanism.noisy_labels``:
+    (0, i)       query i of ``cli.aggregate_votes`` (``aggregate``)
+    (0, 0, i)    query i of ``simulation.budget_report`` (``simulate --mode budget``)
+    (0, gi, i)   query i at the gi-th gamma of ``simulation.sweep_gamma``
+    (0, 0)       a lone ``noisy_argmax`` call given no rng
 """
 from __future__ import annotations
 

@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import (
-    Guarantee,
-    LambdaGrid,
-    PrivacyLedger,
-    compose,
-    moments_guarantee,
-    per_query_moment,
-    strong_composition_eps,
-)
-from .mechanism import MechanismParams, VoteHistogram, gap, noisy_argmax
-from .seeding import derive_rng, MECHANISM_NOISE, SYNTH_VOTES, TRUE_LABELS
+from .accountant import LambdaGrid, PrivacyLedger, book
+from .mechanism import MechanismParams, VoteHistogram, gap, noisy_labels
+from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
 
 
 class ErrorModel(enum.Enum):
@@ -92,19 +84,20 @@ class SweepResult:
 
 @dataclass(frozen=True, slots=True)
 class BudgetReport:
-    """Side-by-side privacy guarantees for one simulated labelling run.
+    """The ledger of one simulated labelling run, its target delta and accuracy.
 
+    Gamma, grid, query count, composed totals and both guarantees all
+    derive from ``ledger`` (``cli.budget_report_obj`` renders them).
     ``aggregate_accuracy`` is NaN when the run answered zero queries.
     """
 
-    gamma: float
     delta: float
-    num_queries: int
-    lambda_grid: LambdaGrid
-    totals: dict[int, float]
-    moments: Guarantee
-    strong_composition: Guarantee
+    ledger: PrivacyLedger
     aggregate_accuracy: float
+
+    def __post_init__(self):
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
 
 
 def synth_query_votes(config: EnsembleConfig, true_label: int,
@@ -131,12 +124,12 @@ def synth_query_votes(config: EnsembleConfig, true_label: int,
     return VoteHistogram(tuple(int(c) for c in counts))
 
 
-def _query_stream(config: EnsembleConfig) -> tuple[np.ndarray, list[VoteHistogram]]:
+def _query_stream(config: EnsembleConfig) -> tuple[list[int], list[VoteHistogram]]:
     """True labels and vote histograms for every query, derived from the seed."""
     label_rng = derive_rng(config.seed, TRUE_LABELS)
-    labels = label_rng.integers(0, config.m, size=config.queries)
+    labels = label_rng.integers(0, config.m, size=config.queries).tolist()
     hists = [
-        synth_query_votes(config, int(labels[q]), derive_rng(config.seed, SYNTH_VOTES, q))
+        synth_query_votes(config, labels[q], derive_rng(config.seed, SYNTH_VOTES, q))
         for q in range(config.queries)
     ]
     return labels, hists
@@ -167,11 +160,7 @@ def sweep_gamma(config: EnsembleConfig, gamma_grid) -> SweepResult:
     points = []
     for gi, gamma in enumerate(grid):
         params = MechanismParams(gamma=gamma, seed=config.seed)
-        hits = 0
-        for q, hist in enumerate(hists):
-            noise_rng = derive_rng(config.seed, MECHANISM_NOISE, gi, q)
-            if noisy_argmax(hist, params, rng=noise_rng) == labels[q]:
-                hits += 1
+        hits = sum(x == y for x, y in zip(noisy_labels(hists, params, gi), labels))
         points.append(SweepPoint(gamma=gamma, accuracy=hits / config.queries))
     return SweepResult(points=tuple(points), mean_gap=mean_gap,
                        mean_normalized_gap=mean_norm)
@@ -179,35 +168,17 @@ def sweep_gamma(config: EnsembleConfig, gamma_grid) -> SweepResult:
 
 def budget_report(config: EnsembleConfig, gamma: float, delta: float,
                   grid: LambdaGrid | None = None) -> BudgetReport:
-    """Run the configured queries end to end and report both guarantees.
+    """Run the configured queries end to end: label each one and book it.
 
-    Every query goes through the noisy argmax and books its moment bounds
-    into a ledger; the report carries the composed totals, the moments
-    guarantee, the strong-composition baseline, and the fraction of noisy
-    labels matching the true ones.
+    Noise uses the stream prefix (0,), the same as the first gamma of a
+    ``sweep_gamma`` run on this config, so the two agree on accuracy there.
+    The report carries the ledger (query q is booked as ``q{q:05d}``) and
+    the fraction of noisy labels matching the true ones.
     """
     grid = grid or LambdaGrid.default()
     params = MechanismParams(gamma=gamma, seed=config.seed)
-    ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=config.seed)
-
-    hits = 0
-    if config.queries > 0:
-        labels, hists = _query_stream(config)
-        for q, hist in enumerate(hists):
-            noise_rng = derive_rng(config.seed, MECHANISM_NOISE, 0, q)
-            label = noisy_argmax(hist, params, rng=noise_rng)
-            if label == labels[q]:
-                hits += 1
-            ledger.append(per_query_moment(hist, params.gamma, grid, query_id=f"q{q:05d}"))
+    labels, hists = _query_stream(config)
+    hits = sum(x == y for x, y in zip(noisy_labels(hists, params, 0), labels))
+    ledger = book(hists, [f"q{q:05d}" for q in range(config.queries)], params, grid)
     accuracy = hits / config.queries if config.queries else math.nan
-
-    return BudgetReport(
-        gamma=params.gamma,
-        delta=delta,
-        num_queries=config.queries,
-        lambda_grid=grid,
-        totals=compose(ledger),
-        moments=moments_guarantee(ledger, delta),
-        strong_composition=strong_composition_eps(params.gamma, config.queries, delta),
-        aggregate_accuracy=accuracy,
-    )
+    return BudgetReport(delta=delta, ledger=ledger, aggregate_accuracy=accuracy)

@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 
 from privagg import (
     GuaranteeMethod,
+    MechanismParams,
     LambdaGrid,
     MomentSource,
     PrivacyLedger,
     QueryMoment,
     VoteHistogram,
+    book,
     compose,
     data_dependent_moment,
     data_independent_moment,
@@ -225,6 +227,19 @@ class TestCompose:
         other = per_query_moment(VoteHistogram((10, 10)), 0.1, GRID)
         with pytest.raises(ValueError, match="gamma"):
             ledger.append(other)
+
+
+class TestBook:
+    def test_books_each_histogram_under_its_id(self):
+        hists = [VoteHistogram((10, 10)), VoteHistogram((40, 3)), VoteHistogram((0, 7, 1))]
+        ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05, seed=3), GRID)
+        assert (ledger.gamma, ledger.lambda_grid, ledger.seed) == (0.05, GRID, 3)
+        assert list(ledger) == [per_query_moment(h, 0.05, GRID, query_id=q)
+                                for h, q in zip(hists, "abc")]
+
+    def test_ids_must_pair_with_histograms(self):
+        with pytest.raises(ValueError):
+            book([VoteHistogram((1, 2))], [], MechanismParams(gamma=0.05), GRID)
 
 
 class TestEpsForDelta:

@@ -5,11 +5,13 @@ import pytest
 
 from privagg import LambdaGrid, MomentSource, q_threshold
 from privagg.cli import account_obj, aggregate_votes, main
+from privagg import formats
 from privagg.formats import (
     FileFormatError,
     dump_json,
     read_ledger,
     read_votes,
+    write_labels,
     write_ledger,
 )
 
@@ -62,10 +64,21 @@ class TestReadVotes:
         '{"query_id": "a", "counts": [3, 1], "labels": [0]}',
         '{"query_id": "a", "labels": [0, 1]}',
         '[1, 2]',
+        '{"query_id": "a", "counts": [true, false]}',
+        '{"query_id": "a", "labels": [true, true], "num_classes": 2}',
     ])
     def test_malformed_records(self, tmp_path, line):
         with pytest.raises(FileFormatError, match=":1"):
             read_votes(write(tmp_path / "votes.jsonl", line + "\n"))
+
+    def test_duplicate_query_id_names_second_line(self, tmp_path):
+        path = write(tmp_path / "votes.jsonl", "\n".join([
+            '{"query_id": "a", "counts": [3, 1]}',
+            '{"query_id": "b", "counts": [3, 1]}',
+            '{"query_id": "a", "counts": [1, 3]}',
+        ]))
+        with pytest.raises(FileFormatError, match=r":3: duplicate query_id 'a'.*line 1"):
+            read_votes(path)
 
 
 class TestLedgerRoundTrip:
@@ -92,6 +105,55 @@ class TestLedgerRoundTrip:
     def test_missing_header(self, tmp_path):
         with pytest.raises(FileFormatError, match="header"):
             read_ledger(write(tmp_path / "ledger.jsonl", ""))
+
+    def test_duplicate_query_id_names_second_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:2], 0.05, 0, GRID)
+        write_ledger(path, ledger)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(FileFormatError, match=r":4: duplicate query_id"):
+            read_ledger(path)
+
+    def test_non_string_query_id_rejected(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:1], 0.05, 0, GRID)
+        write_ledger(path, ledger)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "query_id": ["a"]})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=":2.*query_id"):
+            read_ledger(path)
+
+
+class TestAtomicWrite:
+    def test_failed_ledger_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.jsonl"
+        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:3], 0.05, 0, GRID)
+        write_ledger(path, ledger)
+        old = path.read_bytes()
+        to_obj = formats._moment_to_obj
+        calls = []
+
+        def fail_on_second_entry(moment):
+            calls.append(moment)
+            if len(calls) == 2:
+                raise RuntimeError("disk gone")
+            return to_obj(moment)
+
+        monkeypatch.setattr(formats, "_moment_to_obj", fail_on_second_entry)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_ledger(path, ledger)
+        assert len(calls) == 2  # header and first entry were already written
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.jsonl"]
+
+    def test_failed_labels_write_keeps_old_file(self, tmp_path):
+        path = write(tmp_path / "labels.jsonl", "old labels\n")
+        with pytest.raises(TypeError):
+            write_labels(path, {"format_version": 1}, [("a", 0), ("b", object())])
+        assert path.read_text() == "old labels\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
 
 class TestAggregate:
@@ -180,6 +242,16 @@ class TestCliAggregateAccount:
         assert "error" in capsys.readouterr().err
         assert not labels.exists()
 
+    def test_duplicate_query_id_exits_one(self, tmp_path, capsys):
+        votes = write(tmp_path / "votes.jsonl",
+                      '{"query_id": "a", "counts": [3, 1]}\n'
+                      '{"query_id": "a", "counts": [1, 3]}\n')
+        assert self.run("aggregate", votes, "--gamma", "0.05",
+                        "--labels-out", tmp_path / "l.jsonl",
+                        "--ledger-out", tmp_path / "g.jsonl") == 1
+        assert ":2: duplicate query_id" in capsys.readouterr().err
+        assert not (tmp_path / "l.jsonl").exists()
+
     def test_delta_zero_exits_one(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
         self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
@@ -197,6 +269,7 @@ class TestCliSimulate:
         assert obj["moments"]["epsilon"] <= obj["strong_composition"]["epsilon"]
         assert obj["ensemble"]["n"] == 250
         assert len(obj["alpha_totals"]) == 8
+        assert out.read_bytes() == (DATA / "expected_budget.json").read_bytes()
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -207,6 +280,7 @@ class TestCliSimulate:
         assert lines[0].startswith("# provenance ")
         assert lines[1] == "gamma,accuracy,mean_gap,mean_normalized_gap"
         assert len(lines) == 5
+        assert out.read_bytes() == (DATA / "expected_sweep.csv").read_bytes()
 
     def test_sweep_without_gammas_exits_one(self, tmp_path):
         assert main(["simulate", "--mode", "sweep",

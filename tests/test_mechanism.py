@@ -10,10 +10,12 @@ from privagg import (
     gap,
     laplace_inverse_cdf,
     noisy_argmax,
+    noisy_labels,
     outcome_distribution,
     plurality,
     tally_votes,
 )
+from privagg.seeding import MECHANISM_NOISE, derive_rng
 from conftest import histograms
 
 
@@ -23,7 +25,7 @@ class TestVoteHistogram:
         assert h.num_classes == 3
         assert h.total == 3
 
-    @pytest.mark.parametrize("counts", [(5,), (), (1, -1), (0, 0)])
+    @pytest.mark.parametrize("counts", [(5,), (), (1, -1), (0, 0), (True, False)])
     def test_invalid(self, counts):
         with pytest.raises(ValueError):
             VoteHistogram(counts)
@@ -139,6 +141,16 @@ class TestNoisyArgmax:
         outcomes = {noisy_argmax(hist, MechanismParams(gamma=0.05, seed=s))
                     for s in range(50)}
         assert outcomes == {0, 1}
+
+
+class TestNoisyLabels:
+    @pytest.mark.parametrize("stream", [(), (0,), (3,)])
+    def test_query_i_uses_stream_prefix_then_i(self, stream):
+        hists = [VoteHistogram((5, 5)), VoteHistogram((3, 4, 3)), VoteHistogram((1, 1))]
+        params = MechanismParams(gamma=0.05, seed=9)
+        expected = [noisy_argmax(h, params, rng=derive_rng(9, MECHANISM_NOISE, *stream, i))
+                    for i, h in enumerate(hists)]
+        assert noisy_labels(hists, params, *stream) == expected
 
 
 class TestPlurality:

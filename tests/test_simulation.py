@@ -8,6 +8,8 @@ from privagg import (
     ErrorModel,
     GuaranteeMethod,
     budget_report,
+    compose,
+    moments_guarantee,
     strong_composition_eps,
     sweep_gamma,
     synth_query_votes,
@@ -111,28 +113,36 @@ class TestSweepGamma:
             sweep_gamma(EnsembleConfig(queries=1), grid)
 
 
+def _moments(report):
+    return moments_guarantee(report.ledger, report.delta)
+
+
+def _strong(report):
+    return strong_composition_eps(report.ledger.gamma, len(report.ledger), report.delta)
+
+
 class TestBudgetReport:
     def test_unanimous_votes_beat_strong_composition(self):
         config = EnsembleConfig(teacher_accuracy=1.0, queries=100, seed=2)
         report = budget_report(config, 0.05, 1e-5)
         strong = strong_composition_eps(0.05, 100, 1e-5).epsilon
-        assert report.strong_composition.epsilon == pytest.approx(strong)
-        assert report.moments.epsilon < strong
-        assert report.moments.method is GuaranteeMethod.MOMENTS
+        assert _strong(report).epsilon == pytest.approx(strong)
+        assert _moments(report).epsilon < strong
+        assert _moments(report).method is GuaranteeMethod.MOMENTS
 
     def test_zero_queries_cost_nothing(self):
         config = EnsembleConfig(queries=0)
         report = budget_report(config, 0.05, 1e-5)
-        assert report.moments.epsilon == 0.0
-        assert report.strong_composition.epsilon == 0.0
+        assert _moments(report).epsilon == 0.0
+        assert _strong(report).epsilon == 0.0
         assert math.isnan(report.aggregate_accuracy)
-        assert all(alpha == 0.0 for alpha in report.totals.values())
+        assert all(alpha == 0.0 for alpha in compose(report.ledger).values())
 
     def test_doubling_queries_doubles_totals(self):
         base = EnsembleConfig(teacher_accuracy=1.0, queries=100, seed=3)
         double = EnsembleConfig(teacher_accuracy=1.0, queries=200, seed=3)
-        totals_1 = budget_report(base, 0.05, 1e-5).totals
-        totals_2 = budget_report(double, 0.05, 1e-5).totals
+        totals_1 = compose(budget_report(base, 0.05, 1e-5).ledger)
+        totals_2 = compose(budget_report(double, 0.05, 1e-5).ledger)
         for order, alpha in totals_1.items():
             assert totals_2[order] == pytest.approx(2 * alpha, rel=1e-12)
 
@@ -140,4 +150,16 @@ class TestBudgetReport:
         config = EnsembleConfig(teacher_accuracy=1.0, queries=50, seed=1)
         report = budget_report(config, 1.0, 1e-5)
         assert report.aggregate_accuracy == 1.0
-        assert report.num_queries == 50
+        assert len(report.ledger) == 50
+
+    def test_accuracy_matches_first_sweep_gamma(self):
+        # Both label with stream prefix (0,), so the same noise hits the same votes.
+        config = EnsembleConfig(n=50, teacher_accuracy=0.3, queries=200, seed=4)
+        accuracy = budget_report(config, 0.1, 1e-5).aggregate_accuracy
+        assert 0.0 < accuracy < 1.0
+        assert accuracy == sweep_gamma(config, [0.1, 0.5]).points[0].accuracy
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            budget_report(EnsembleConfig(queries=1), 0.05, delta)
