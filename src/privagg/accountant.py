@@ -209,6 +209,10 @@ def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
             continue
         d = gamma * (top - c)
         raw += (2.0 + d) / (4.0 * math.exp(d))
+        if raw >= 1.0:
+            # Every term is >= 0 (or NaN, which the clamp also maps to 1), and
+            # adding such terms never lowers a float sum: the clamp gives 1.0.
+            return 1.0
     return min(1.0, raw)
 
 
@@ -237,13 +241,14 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
             f"got q={q:.6g}; use the data-independent bound instead")
     if q == 0.0:
         return 0.0
-    denom = -math.expm1(2.0 * gamma + math.log(q))  # 1 - e^{2g} * q
+    log_q = math.log(q)
+    denom = -math.expm1(2.0 * gamma + log_q)  # 1 - e^{2g} * q
     if denom < _DENOMINATOR_GUARD:
         raise ValueError(
             f"1 - e^(2*gamma)*q = {denom:.3g} is below the stability guard; "
             "treat this q as out of domain")
     log_first = (order + 1) * math.log1p(-q) - order * math.log(denom)
-    log_second = math.log(q) + 2.0 * gamma * order
+    log_second = log_q + 2.0 * gamma * order
     alpha = _log_add(log_first, log_second)
     # The bound is >= 0 exactly; chop float dust from the cancellation at q ~ 0.
     return max(0.0, alpha)
@@ -269,9 +274,10 @@ def per_query_moment(hist: VoteHistogram, gamma: float, grid: LambdaGrid,
     """
     qb = q_upper_bound(hist, gamma)
     usable = qb < q_threshold(gamma)
+    two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
     alphas, sources = [], []
     for order in grid.values:
-        indep = data_independent_moment(gamma, order)
+        indep = two_gamma_sq * order * (order + 1)
         alpha, source = indep, MomentSource.DATA_INDEPENDENT
         if usable:
             try:

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .accountant import LambdaGrid, PrivacyLedger, book, compose
+from .accountant import LambdaGrid, PrivacyLedger, book, compose, eps_for_delta
 from .accountant import moments_guarantee, strong_composition_eps
 from .formats import (
     FileFormatError,
@@ -60,8 +60,16 @@ def aggregate_votes(records: list[VoteRecord], gamma: float, seed: int,
 
 def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
     """Guarantee JSON object for a ledger: moments plus the baseline."""
+    return _account_obj(ledger, delta, compose(ledger))
+
+
+def _account_obj(ledger: PrivacyLedger, delta: float, totals: dict[int, float]) -> dict:
+    """``account_obj`` from the ledger's already composed ``totals``."""
     num_queries = len(ledger)
-    moments = moments_guarantee(ledger, delta)
+    # moments_guarantee special-cases the empty ledger to epsilon 0; any
+    # other ledger gets eps_for_delta of its totals, as moments_guarantee does.
+    moments = (eps_for_delta(totals, delta) if num_queries
+               else moments_guarantee(ledger, delta))
     strong = strong_composition_eps(ledger.gamma, num_queries, delta)
     obj = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
     obj["noise_scale"] = 1.0 / ledger.gamma
@@ -72,7 +80,8 @@ def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
 
 def budget_report_obj(report: BudgetReport, config: EnsembleConfig) -> dict:
     """Budget JSON object: the ledger's guarantee plus the run's own keys."""
-    obj = account_obj(report.ledger, report.delta)
+    totals = compose(report.ledger)
+    obj = _account_obj(report.ledger, report.delta, totals)
     obj.update({
         "delta": report.delta,
         "num_queries": len(report.ledger),
@@ -84,7 +93,7 @@ def budget_report_obj(report: BudgetReport, config: EnsembleConfig) -> dict:
             "teacher_accuracy": config.teacher_accuracy,
             "error_model": config.error_model.value,
         },
-        "alpha_totals": {str(k): v for k, v in sorted(compose(report.ledger).items())},
+        "alpha_totals": {str(k): v for k, v in sorted(totals.items())},
     })
     return obj
 

@@ -9,17 +9,27 @@ Votes come one record per line, either pre-tallied or as raw labels:
 Label records are tallied on ingest; mixed forms are fine but every record
 must agree on the class count.  Ledgers and label files start with a header
 object carrying {format_version, gamma, lambda_grid, seed} so outputs are
-self-describing.  Parse errors always name the offending line, and a
-query_id may appear only once per votes or ledger file.  Every writer
+self-describing.  Parse errors always name the offending line, a
+query_id may appear only once per votes or ledger file, and a ledger
+holding a JSON boolean where a number belongs is rejected.
+
+Every line of a ledger or label file is exactly the bytes of
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for its object.
+Entries and label lines are filled into a fixed template when their fields
+have the plain types (``str`` ids, ``int`` orders and labels, finite
+``float`` numbers) and go through ``json.dumps`` otherwise.  Every writer
 replaces its target atomically: a failed write leaves the old file intact.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .accountant import (
@@ -33,6 +43,9 @@ from .mechanism import VoteHistogram, tally_votes
 from .simulation import SweepResult
 
 FORMAT_VERSION = 1
+
+_FLOAT, _INT, _SOURCE = {float}, {int}, {MomentSource}
+_SOURCE_BY_VALUE = {source.value: source for source in MomentSource}
 
 
 class FileFormatError(ValueError):
@@ -78,16 +91,21 @@ def _check_unique(path, line_no: int, query_id: str, seen: dict[str, int]) -> No
         raise _fail(path, line_no, f"duplicate query_id {query_id!r} (first on line {first})")
 
 
+def _content_lines(fh):
+    """(line number, stripped line) of every line that is not blank."""
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line:
+            yield line_no, line
+
+
 def read_votes(path) -> list[VoteRecord]:
     """Parse a votes JSONL file; empty files yield an empty list."""
     records: list[VoteRecord] = []
     seen: dict[str, int] = {}
     num_classes = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for line_no, line in _content_lines(fh):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -129,11 +147,18 @@ def _replacing(path):
         tmp.unlink(missing_ok=True)  # gone already after a successful replace
 
 
+def _encode_label(query_id, label) -> str:
+    """One label line: the bytes of ``_dump({"query_id": ..., "label": ...})``."""
+    if type(label) is int and type(query_id) is str:
+        return f'{{"label":{label!r},"query_id":{encode_basestring_ascii(query_id)}}}'
+    return _dump({"query_id": query_id, "label": label})
+
+
 def write_labels(path, header: dict, labels: list[tuple[str, int]]) -> None:
     with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
         for query_id, label in labels:
-            fh.write(_dump({"query_id": query_id, "label": label}) + "\n")
+            fh.write(_encode_label(query_id, label) + "\n")
 
 
 def _moment_to_obj(moment: QueryMoment) -> dict:
@@ -148,35 +173,76 @@ def _moment_to_obj(moment: QueryMoment) -> dict:
     }
 
 
+def _encode_entry(moment: QueryMoment) -> str:
+    """One ledger line: the bytes of ``_dump(_moment_to_obj(moment))``.
+
+    The template writes floats with ``float.__repr__`` as ``json`` does, but
+    ``json`` writes ``Infinity`` where ``repr`` writes ``inf``; so it takes
+    only exact types and finite floats (a float sum is finite only if every
+    term is), and any other entry goes through ``json``.  Source values need
+    no escaping; ``_value_`` skips the enum's ``value`` property.
+    """
+    gamma, q_bound, alphas = moment.gamma, moment.q_bound, moment.alphas
+    if not (type(gamma) is float and type(q_bound) is float
+            and type(moment.query_id) is str and {*map(type, alphas)} == _FLOAT
+            and {*map(type, moment.orders)} == _INT
+            and {*map(type, moment.sources)} == _SOURCE
+            and math.isfinite(gamma + q_bound + sum(alphas))):
+        return _dump(_moment_to_obj(moment))
+    moments = ",".join([f'{{"alpha":{alpha!r},"lambda":{order!r},"source":"{source._value_}"}}'
+                        for order, alpha, source
+                        in zip(moment.orders, alphas, moment.sources)])
+    return (f'{{"gamma":{gamma!r},"moments":[{moments}],"q_bound":{q_bound!r},'
+            f'"query_id":{encode_basestring_ascii(moment.query_id)}}}')
+
+
 def write_ledger(path, ledger: PrivacyLedger) -> None:
     header = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
     with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
         for moment in ledger:
-            fh.write(_dump(_moment_to_obj(moment)) + "\n")
+            fh.write(_encode_entry(moment) + "\n")
+
+
+def _reject_booleans(fields: dict[str, tuple]) -> None:
+    """Raise ValueError naming the first field whose values hold a JSON boolean.
+
+    Python compares and adds ``true`` as 1 and ``false`` as 0, so a boolean
+    would pass every numeric check of a ledger.
+    """
+    for name, values in fields.items():
+        if bool in {*map(type, values)}:
+            raise ValueError(f"{name!r} holds a boolean, not a number")
+
+
+def _parse_sources(moments) -> tuple[MomentSource, ...]:
+    try:
+        return tuple(map(_SOURCE_BY_VALUE.__getitem__, map(itemgetter("source"), moments)))
+    except (KeyError, TypeError):
+        # Unknown, unhashable or missing: let the enum raise its own error.
+        return tuple(MomentSource(e["source"]) for e in moments)
 
 
 def _parse_ledger_entry(path, line_no: int, obj) -> QueryMoment:
     try:
         moments = obj["moments"]
-        return QueryMoment(query_id=obj["query_id"], gamma=obj["gamma"],
-                           q_bound=obj["q_bound"],
-                           orders=tuple(e["lambda"] for e in moments),
-                           alphas=tuple(e["alpha"] for e in moments),
-                           sources=tuple(MomentSource(e["source"]) for e in moments))
+        moment = QueryMoment(query_id=obj["query_id"], gamma=obj["gamma"],
+                             q_bound=obj["q_bound"],
+                             orders=tuple(map(itemgetter("lambda"), moments)),
+                             alphas=tuple(map(itemgetter("alpha"), moments)),
+                             sources=_parse_sources(moments))
+        if bool in {type(moment.gamma), type(moment.q_bound),
+                    *map(type, moment.orders), *map(type, moment.alphas)}:
+            _reject_booleans({"gamma": (moment.gamma,), "q_bound": (moment.q_bound,),
+                              "lambda": moment.orders, "alpha": moment.alphas})
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
+    return moment
 
 
-def read_ledger(path) -> PrivacyLedger:
-    """Parse a ledger JSONL file (header line, then one entry per query)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty ledger (missing header line)")
-    line_no, header_line = lines[0]
+def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
     try:
-        header = json.loads(header_line)
+        header = json.loads(line)
         if header.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {header.get('format_version')!r}")
         ledger = PrivacyLedger(
@@ -184,22 +250,36 @@ def read_ledger(path) -> PrivacyLedger:
             lambda_grid=LambdaGrid(tuple(header["lambda_grid"])),
             seed=int(header["seed"]),
         )
+        _reject_booleans({"format_version": (header["format_version"],),
+                          "gamma": (header["gamma"],), "lambda_grid": header["lambda_grid"],
+                          "seed": (header["seed"],)})
     except json.JSONDecodeError as exc:
         raise _fail(path, line_no, f"invalid JSON header: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger header: {exc}") from exc
-    seen: dict[str, int] = {}
-    for line_no, line in lines[1:]:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
-        moment = _parse_ledger_entry(path, line_no, obj)
-        _check_unique(path, line_no, moment.query_id, seen)
-        try:
-            ledger.append(moment)
-        except ValueError as exc:
-            raise _fail(path, line_no, str(exc)) from exc
+    return ledger
+
+
+def read_ledger(path) -> PrivacyLedger:
+    """Parse a ledger JSONL file (header line, then one entry per query)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _content_lines(fh)
+        line_no, line = next(lines, (0, ""))
+        if not line:
+            raise FileFormatError(f"{path}: empty ledger (missing header line)")
+        ledger = _parse_ledger_header(path, line_no, line)
+        seen: dict[str, int] = {}
+        for line_no, line in lines:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            moment = _parse_ledger_entry(path, line_no, obj)
+            _check_unique(path, line_no, moment.query_id, seen)
+            try:
+                ledger.append(moment)
+            except ValueError as exc:
+                raise _fail(path, line_no, str(exc)) from exc
     return ledger
 
 

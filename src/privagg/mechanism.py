@@ -29,6 +29,8 @@ from .seeding import derive_rng, MECHANISM_NOISE
 # transform; numpy's random() is [0, 1) and the transform needs (0, 1).
 _MIN_UNIFORM = 2.0 ** -53
 
+_INT = {int}
+
 
 @dataclass(frozen=True, slots=True)
 class VoteHistogram:
@@ -41,6 +43,11 @@ class VoteHistogram:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        counts = self.counts
+        # Plain case: a tuple of exact ints (``type`` also rules out bool).
+        if (type(counts) is tuple and len(counts) >= 2 and {*map(type, counts)} == _INT
+                and min(counts) >= 0 and sum(counts) >= 1):
+            return
         coerced = []
         for j, c in enumerate(self.counts):
             if isinstance(c, bool) or not isinstance(c, numbers.Integral):
@@ -110,11 +117,16 @@ def tally_votes(labels, m: int) -> VoteHistogram:
 
 
 def _laplace_quantile(u, b: float):
-    """Laplace(0, b) quantile of ``u`` in (0, 1), elementwise over numpy input.
+    """Laplace(0, b) quantile of each entry of the float array ``u`` in (0, 1).
 
     The one noise transform in the package; every Laplace draw goes through it.
     """
-    return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+    # b*log(2u) below 0.5 and -b*log(2(1-u)) from 0.5 up, bit for bit: min()
+    # picks the operand each branch uses (1-u is exact there), and negating
+    # the product equals multiplying by -b.
+    x = b * np.log(2.0 * np.minimum(u, 1.0 - u))
+    np.negative(x, out=x, where=u >= 0.5)
+    return x
 
 
 def laplace_inverse_cdf(u: float, b: float) -> float:
@@ -131,7 +143,7 @@ def laplace_inverse_cdf(u: float, b: float) -> float:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
     if not b > 0.0:
         raise ValueError(f"scale b must be positive, got {b!r}")
-    return float(_laplace_quantile(np.float64(u), b))
+    return float(_laplace_quantile(np.array([u]), b)[0])
 
 
 def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
@@ -160,8 +172,8 @@ def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
     if rng is None:
         rng = derive_rng(params.seed, MECHANISM_NOISE, 0)
     noise = _draw_noise(rng, params.scale, hist.num_classes)
-    perturbed = np.asarray(hist.counts, dtype=float) + noise
-    return int(np.argmax(perturbed))
+    noise += np.asarray(hist.counts, dtype=float)
+    return int(np.argmax(noise))
 
 
 def noisy_labels(hists, params: MechanismParams, *stream: int) -> list[int]:

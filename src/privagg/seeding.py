@@ -38,9 +38,9 @@ def mask64(seed: int) -> int:
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(mask64(master_seed), spawn_key=tuple(int(p) for p in path))
+    return np.random.SeedSequence(mask64(master_seed), spawn_key=tuple(map(int, path)))
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream identified by (master_seed, *path)."""
-    return np.random.default_rng(seed_sequence(master_seed, *path))
+    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *path)))

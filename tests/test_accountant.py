@@ -81,6 +81,52 @@ class TestQUpperBound:
     def test_always_in_unit_interval(self, hist, gamma):
         assert 0.0 < q_upper_bound(hist, gamma) <= 1.0
 
+    @staticmethod
+    def full_sum_then_clamp(hist, gamma):
+        """Every term summed in class order, clamped once at the end."""
+        winner = hist.counts.index(max(hist.counts))
+        top = hist.counts[winner]
+        raw = 0.0
+        for j, c in enumerate(hist.counts):
+            if j != winner:
+                d = gamma * (top - c)
+                raw += (2.0 + d) / (4.0 * math.exp(d))
+        return min(1.0, raw)
+
+    # Up to 8 classes of at most 25 votes; gamma * deficit stays below 709,
+    # where math.exp(d) would overflow.
+    small_histograms = st.lists(st.integers(0, 25), min_size=2, max_size=8).filter(
+        lambda c: sum(c) > 0).map(lambda c: VoteHistogram(tuple(c)))
+
+    @given(hist=small_histograms, gamma=st.floats(min_value=1e-6, max_value=25.0))
+    def test_equals_full_sum_then_clamp(self, hist, gamma):
+        assert q_upper_bound(hist, gamma) == self.full_sum_then_clamp(hist, gamma)
+
+    @given(counts=st.lists(st.integers(min_value=0, max_value=20), min_size=100,
+                           max_size=100).filter(lambda c: sum(c) > 0),
+           gamma=st.floats(min_value=1e-3, max_value=5.0))
+    def test_equals_full_sum_on_contested_hundred_classes(self, counts, gamma):
+        hist = VoteHistogram(tuple(counts))
+        assert q_upper_bound(hist, gamma) == self.full_sum_then_clamp(hist, gamma)
+
+    @given(hist=small_histograms)
+    def test_equals_full_sum_where_the_sum_crosses_one(self, hist):
+        # The raw sum falls with gamma; bisect to the gamma where it crosses
+        # 1 and compare there and at its neighbouring floats.
+        top = max(hist.counts)
+        raw = lambda g: sum((2.0 + g * (top - c)) / (4.0 * math.exp(g * (top - c)))
+                            for c in hist.counts) - 0.5  # less the winner's own term
+        lo, hi = 1e-9, 25.0
+        if not raw(lo) > 1.0 > raw(hi):
+            return
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if raw(mid) > 1.0 else (lo, mid)
+        for g in (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+            assert q_upper_bound(hist, g) == self.full_sum_then_clamp(hist, g)
+
 
 class TestDataDependentMoment:
     def test_q_zero_is_zero(self):
@@ -154,6 +200,12 @@ class TestPerQueryMoment:
         assert all(s is MomentSource.DATA_INDEPENDENT for s in moment.sources)
         assert all(alpha == data_independent_moment(0.05, order)
                    for order, alpha in zip(moment.orders, moment.alphas))
+
+    @given(gamma=st.floats(min_value=1e-150, max_value=100.0), lambda_max=st.integers(1, 300))
+    def test_fallback_equals_data_independent_moment(self, gamma, lambda_max):
+        moment = per_query_moment(VoteHistogram((10, 10, 10)), gamma, LambdaGrid.up_to(lambda_max))
+        assert moment.alphas == tuple(data_independent_moment(gamma, order)
+                                      for order in moment.orders)
 
     @given(hist=histograms(), gamma=st.floats(min_value=0.01, max_value=1.0))
     def test_never_exceeds_data_independent_bound(self, hist, gamma):

@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privagg import LambdaGrid, MomentSource, q_threshold
+from privagg import LambdaGrid, MomentSource, PrivacyLedger, QueryMoment, q_threshold
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
 from privagg.formats import (
@@ -126,22 +128,143 @@ class TestLedgerRoundTrip:
             read_ledger(path)
 
 
+def edit_ledger_line(path: Path, line_index: int, edit) -> Path:
+    """Rewrite one line of the ledger fixture into ``path`` through ``edit(obj)``."""
+    lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()
+    obj = json.loads(lines[line_index])
+    edit(obj)
+    lines[line_index] = json.dumps(obj)
+    return write(path, "\n".join(lines) + "\n")
+
+
+class TestLedgerBooleans:
+    """JSON true/false would pass as 1/0 through every numeric check."""
+
+    @pytest.mark.parametrize("line_index, edit, field", [
+        pytest.param(1, lambda obj: obj["moments"][0].update({"lambda": True, "alpha": False}),
+                     "lambda", id="entry-lambda-and-alpha"),
+        pytest.param(1, lambda obj: obj["moments"][0].update({"alpha": False}), "alpha",
+                     id="entry-alpha-false"),
+        pytest.param(1, lambda obj: obj["moments"][1].update({"alpha": True}), "alpha",
+                     id="entry-alpha-true"),
+        pytest.param(1, lambda obj: obj.update({"q_bound": True}), "q_bound",
+                     id="entry-q-bound-true"),
+        pytest.param(1, lambda obj: obj.update({"q_bound": False}), "q_bound",
+                     id="entry-q-bound-false"),
+        pytest.param(0, lambda obj: obj.update({"seed": False}), "seed", id="header-seed"),
+        pytest.param(0, lambda obj: obj.update({"lambda_grid": [True, 2, 3, 4, 5, 6, 7, 8]}),
+                     "lambda_grid", id="header-lambda-grid"),
+        pytest.param(0, lambda obj: obj.update({"format_version": True}), "format_version",
+                     id="header-format-version"),
+    ])
+    def test_rejected_with_line_number(self, tmp_path, line_index, edit, field):
+        path = edit_ledger_line(tmp_path / "ledger.jsonl", line_index, edit)
+        with pytest.raises(FileFormatError,
+                           match=rf":{line_index + 1}: .*'{field}' holds a boolean"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("line_index", [0, 1])
+    def test_gamma_true_rejected_where_gamma_is_one(self, tmp_path, line_index):
+        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:2], 1.0, 0, GRID)
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(path, ledger)
+        assert len(read_ledger(path)) == 2
+        lines = path.read_text().splitlines()
+        lines[line_index] = lines[line_index].replace('"gamma":1.0', '"gamma":true')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError,
+                           match=rf":{line_index + 1}: .*'gamma' holds a boolean"):
+            read_ledger(path)
+
+    def test_account_exits_one(self, tmp_path, capsys):
+        path = edit_ledger_line(
+            tmp_path / "ledger.jsonl", 1,
+            lambda obj: obj["moments"][0].update({"lambda": True, "alpha": False}))
+        assert main(["account", str(path), "--delta", "1e-5"]) == 1
+        assert ":2: malformed ledger entry: 'lambda' holds a boolean" in capsys.readouterr().err
+
+
+query_ids = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é✓😀", "\u2028", "q0000001"])
+special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf, 1.0])
+alphas = st.floats(min_value=0.0) | special_floats | st.integers(0, 3)
+
+
+@st.composite
+def query_moments(draw):
+    k = draw(st.integers(min_value=1, max_value=9))
+    orders = draw(st.lists(st.integers(1, 2**70) | st.just(True), min_size=k, max_size=k))
+    return QueryMoment(
+        query_id=draw(query_ids),
+        gamma=draw(st.floats() | special_floats | st.integers(1, 3)),
+        q_bound=draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0, 1])),
+        orders=tuple(orders),
+        alphas=tuple(draw(st.lists(alphas, min_size=k, max_size=k))),
+        sources=tuple(draw(st.lists(st.sampled_from(MomentSource), min_size=k, max_size=k))))
+
+
+class TestEncoders:
+    """The template writers emit exactly the bytes of ``json.dumps``."""
+
+    @given(moment=query_moments())
+    def test_entry_matches_json_dumps(self, moment):
+        assert formats._encode_entry(moment) == formats._dump(formats._moment_to_obj(moment))
+
+    @pytest.mark.parametrize("alpha", [-0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf])
+    @pytest.mark.parametrize("q_bound", [0.0, 1.0])
+    def test_entry_edge_values(self, alpha, q_bound):
+        moment = QueryMoment(query_id='q"\\\n\x01é', gamma=0.05, q_bound=q_bound,
+                             orders=(1, 2), alphas=(alpha, 0.25),
+                             sources=(MomentSource.DATA_DEPENDENT,
+                                      MomentSource.DATA_INDEPENDENT))
+        assert formats._encode_entry(moment) == formats._dump(formats._moment_to_obj(moment))
+
+    @given(query_id=query_ids,
+           label=st.integers() | st.booleans() | st.floats(allow_nan=False) | st.none())
+    def test_label_matches_json_dumps(self, query_id, label):
+        assert formats._encode_label(query_id, label) == formats._dump(
+            {"query_id": query_id, "label": label})
+
+    @settings(max_examples=50, deadline=None)
+    @given(gamma=st.floats(min_value=1e-3, max_value=3.0), lambda_max=st.integers(1, 10),
+           rows=st.lists(st.tuples(query_ids, st.floats(0.0, 1.0),
+                                   st.lists(alphas, min_size=10, max_size=10),
+                                   st.lists(st.sampled_from(MomentSource), min_size=10,
+                                            max_size=10)),
+                         max_size=5, unique_by=lambda row: row[0]))
+    def test_ledger_round_trip(self, tmp_path_factory, gamma, lambda_max, rows):
+        grid = LambdaGrid.up_to(lambda_max)
+        ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=3)
+        for query_id, q_bound, alpha_list, source_list in rows:
+            ledger.append(QueryMoment(query_id=query_id, gamma=gamma, q_bound=q_bound,
+                                      orders=grid.values, alphas=tuple(alpha_list[:lambda_max]),
+                                      sources=tuple(source_list[:lambda_max])))
+        path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+        write_ledger(path, ledger)
+        loaded = read_ledger(path)
+        assert (loaded.gamma, loaded.lambda_grid, loaded.seed) == (gamma, grid, 3)
+        assert list(loaded) == list(ledger)
+        written = path.read_bytes()
+        write_ledger(path, loaded)
+        assert path.read_bytes() == written
+
+
 class TestAtomicWrite:
     def test_failed_ledger_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ledger.jsonl"
         _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:3], 0.05, 0, GRID)
         write_ledger(path, ledger)
         old = path.read_bytes()
-        to_obj = formats._moment_to_obj
+        encode = formats._encode_entry
         calls = []
 
         def fail_on_second_entry(moment):
             calls.append(moment)
             if len(calls) == 2:
                 raise RuntimeError("disk gone")
-            return to_obj(moment)
+            return encode(moment)
 
-        monkeypatch.setattr(formats, "_moment_to_obj", fail_on_second_entry)
+        monkeypatch.setattr(formats, "_encode_entry", fail_on_second_entry)
         with pytest.raises(RuntimeError, match="disk gone"):
             write_ledger(path, ledger)
         assert len(calls) == 2  # header and first entry were already written
@@ -269,6 +392,23 @@ class TestCliSimulate:
         assert obj["moments"]["epsilon"] <= obj["strong_composition"]["epsilon"]
         assert obj["ensemble"]["n"] == 250
         assert len(obj["alpha_totals"]) == 8
+        assert out.read_bytes() == (DATA / "expected_budget.json").read_bytes()
+
+    def test_budget_json_composes_the_ledger_once(self, tmp_path, monkeypatch):
+        from privagg import accountant, cli
+        compose, calls = accountant.compose, []
+
+        def counting_compose(ledger):
+            calls.append(len(ledger))
+            return compose(ledger)
+
+        monkeypatch.setattr(accountant, "compose", counting_compose)
+        monkeypatch.setattr(cli, "compose", counting_compose)
+        out = tmp_path / "budget.json"
+        assert main(["simulate", "--mode", "budget", "--queries", "20",
+                     "--gamma", "0.05", "--delta", "1e-5", "--seed", "1",
+                     "--output", str(out)]) == 0
+        assert calls == [20]
         assert out.read_bytes() == (DATA / "expected_budget.json").read_bytes()
 
     def test_sweep_csv(self, tmp_path):

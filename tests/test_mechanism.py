@@ -1,4 +1,5 @@
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -37,6 +38,45 @@ class TestVoteHistogram:
     def test_accepts_numpy_integers(self):
         h = VoteHistogram(tuple(np.array([3, 4], dtype=np.int64)))
         assert h.counts == (3, 4)
+
+    @staticmethod
+    def reference_counts(counts):
+        """The element-by-element check every input went through before the
+        plain-tuple fast path: the counts it stores, or its ValueError."""
+        coerced = []
+        for j, c in enumerate(counts):
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValueError(f"count for class {j} is not an integer: {c!r}")
+            c = int(c)
+            if c < 0:
+                raise ValueError(f"count for class {j} is negative: {c}")
+            coerced.append(c)
+        if len(coerced) < 2:
+            raise ValueError(f"need at least 2 classes, got {len(coerced)}")
+        if sum(coerced) < 1:
+            raise ValueError("histogram must contain at least one vote")
+        return tuple(coerced)
+
+    @pytest.mark.parametrize("counts", [
+        (3, 1), [3, 1], (0, 0, 7), tuple(range(100)), (2**70, 0),
+        tuple(np.array([3, 4], dtype=np.int64)), np.array([5, 0, 2]), (np.int32(2), 1),
+        (True, 2), (1, False), (True, False), [True, 1],
+        (1, -1), (-3, 5), [0, -1, 4],
+        (5,), [5], (), [],
+        (0, 0), [0, 0, 0], (0,) * 100,
+        (1.0, 2), (1, 2.5), ("1", 2), (None, 1),
+    ])
+    def test_accepts_and_rejects_like_the_reference(self, counts):
+        try:
+            expected = self.reference_counts(counts)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                VoteHistogram(counts)
+            assert str(raised.value) == str(exc)
+        else:
+            stored = VoteHistogram(counts).counts
+            assert stored == expected
+            assert [type(c) for c in stored] == [int] * len(expected)
 
 
 class TestMechanismParams:
@@ -213,6 +253,30 @@ class TestSamplerStatistics:
         vec = _draw_noise(rng, 3.0, 1000)
         scalar = [laplace_inverse_cdf(max(x, 2.0**-53), 3.0) for x in u]
         np.testing.assert_array_equal(vec, scalar)
+
+
+class TestLaplaceQuantile:
+    """The transform must reproduce the two-branch expression bit for bit,
+    on 10^6 uniforms plus the edge values in one call, and in calls of 1, 10
+    and 100 entries over a prefix of them."""
+
+    @staticmethod
+    def reference(u, b):
+        return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+
+    @pytest.mark.parametrize("b", [20.0, 1.0, 3.0, 1.0 / 0.3, 5e-324, 1e300])
+    def test_bit_identical_to_two_branch_expression(self, b):
+        from privagg.mechanism import _MIN_UNIFORM, _laplace_quantile
+        special = [_MIN_UNIFORM, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                   1.0 - 2.0**-53]
+        u = np.concatenate([special, np.maximum(np.random.default_rng(7).random(1_000_000), _MIN_UNIFORM)])
+        np.testing.assert_array_equal(_laplace_quantile(u, b).view(np.uint64),
+                                      self.reference(u, b).view(np.uint64))
+        for length in (1, 10, 100):
+            for start in range(0, 1000 * length, length):
+                chunk = u[start:start + length]
+                assert (_laplace_quantile(chunk, b).view(np.uint64)
+                        == self.reference(chunk, b).view(np.uint64)).all()
 
 
 class TestConvergenceInGamma:
