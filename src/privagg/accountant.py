@@ -185,11 +185,16 @@ def q_threshold(gamma: float) -> float:
 
     The data-dependent bound applies only to queries whose q stays strictly
     below this value.  Tends to 1/2 as gamma -> 0 and falls toward 0 for
-    large gamma.
+    large gamma.  Raises ValueError once e^{4g} leaves the float range
+    (gamma above about 177).
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
+    try:
+        return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
+    except OverflowError:
+        raise ValueError(f"q threshold overflows at gamma={gamma!r}: e^(4*gamma) "
+                         "is beyond the float range") from None
 
 
 def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
@@ -197,7 +202,9 @@ def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
 
     With winner j* and per-class deficits d_j = counts[j*] - counts[j], the
     bound is  sum_{j != j*} (2 + gamma*d_j) / (4 * exp(gamma*d_j)),  clamped
-    to 1 (the raw sum exceeds 1 for flat histograms).
+    to 1 (the raw sum exceeds 1 for flat histograms).  Raises ValueError
+    when exp(gamma*d_j) leaves the float range, rather than rounding that
+    term down to 0.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
@@ -208,7 +215,12 @@ def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
         if j == winner:
             continue
         d = gamma * (top - c)
-        raw += (2.0 + d) / (4.0 * math.exp(d))
+        try:
+            raw += (2.0 + d) / (4.0 * math.exp(d))
+        except OverflowError:
+            raise ValueError(f"q bound overflows at gamma={gamma!r} and deficit "
+                             f"{top - c}: e^(gamma*deficit) is beyond the float "
+                             "range") from None
         if raw >= 1.0:
             # Every term is >= 0 (or NaN, which the clamp also maps to 1), and
             # adding such terms never lowers a float sum: the clamp gives 1.0.

@@ -240,19 +240,34 @@ def _parse_ledger_entry(path, line_no: int, obj) -> QueryMoment:
     return moment
 
 
+def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
+    """Raise ValueError naming ``name`` unless ``type(value)`` is in ``types``.
+
+    The exact type is required: ``float()``, ``int()`` and ``tuple()`` would
+    coerce strings, and Python compares a JSON boolean as 1 or 0.
+    """
+    if type(value) not in types:
+        held = "a boolean" if type(value) is bool else f"a {type(value).__name__}"
+        raise ValueError(f"{name!r} holds {held}, not {what}")
+
+
 def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
     try:
         header = json.loads(line)
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {header.get('format_version')!r}")
-        ledger = PrivacyLedger(
-            gamma=float(header["gamma"]),
-            lambda_grid=LambdaGrid(tuple(header["lambda_grid"])),
-            seed=int(header["seed"]),
-        )
-        _reject_booleans({"format_version": (header["format_version"],),
-                          "gamma": (header["gamma"],), "lambda_grid": header["lambda_grid"],
-                          "seed": (header["seed"],)})
+        if not isinstance(header, dict):
+            raise ValueError(f"expected an object, got {type(header).__name__}")
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        _check_type("format_version", version, (int,), "an integer")
+        gamma, grid, seed = header["gamma"], header["lambda_grid"], header["seed"]
+        _check_type("gamma", gamma, (int, float), "a number")
+        _check_type("lambda_grid", grid, (list,), "a list")
+        for order in grid:
+            _check_type("lambda_grid", order, (int,), "an integer")
+        _check_type("seed", seed, (int,), "an integer")
+        ledger = PrivacyLedger(gamma=float(gamma), lambda_grid=LambdaGrid(tuple(grid)),
+                               seed=seed)
     except json.JSONDecodeError as exc:
         raise _fail(path, line_no, f"invalid JSON header: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:

@@ -74,11 +74,11 @@ def test_criterion_2_moments_beat_strong_composition():
 
 
 def test_criterion_3_bound_soundness_sweep():
-    """1000 random desk-scale cases: q bound, moment bounds, pure DP all hold."""
+    """3000 random desk-scale cases: q bound, moment bounds, pure DP all hold."""
     started = time.perf_counter()
-    report = soundness_sweep(1000, seed=0, grid=GRID)
+    report = soundness_sweep(3000, seed=0, grid=GRID)
     stats = report.stats
-    assert report.cases == 1000
+    assert report.cases == 3000
     for name in ("miss_probability", "moment_bound", "pure_dp"):
         assert stats[name].checks > 0, f"criterion 3: {name} never ran"
         assert stats[name].failures == 0, (

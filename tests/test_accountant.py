@@ -62,6 +62,15 @@ class TestQThreshold:
         assert q_threshold(0.05) == pytest.approx(0.47502081252106, rel=1e-12)
         assert q_threshold(1.0) == pytest.approx(0.11920292202211755, rel=1e-12)
 
+    def test_largest_gamma_keeps_its_float(self):
+        # e^(4*177) is still a float; the formula runs unchanged.
+        assert q_threshold(177.0) == math.expm1(354.0) / math.expm1(708.0)
+
+    @pytest.mark.parametrize("gamma", [177.5, 200.0, 1e6])
+    def test_overflow_is_a_value_error_naming_gamma(self, gamma):
+        with pytest.raises(ValueError, match=rf"gamma={gamma!r}"):
+            q_threshold(gamma)
+
 
 class TestQUpperBound:
     def test_two_class_hand_value(self):
@@ -76,6 +85,21 @@ class TestQUpperBound:
 
     def test_flat_five_class_clamps_to_one(self):
         assert q_upper_bound(VoteHistogram((10,) * 5), 0.3) == 1.0
+
+    def test_largest_deficit_keeps_its_float(self):
+        # gamma * deficit = 704 < 709.78, where math.exp overflows.
+        assert q_upper_bound(VoteHistogram((0, 16)), 44.0) == 706.0 / (4.0 * math.exp(704.0))
+
+    @pytest.mark.parametrize("counts, gamma, deficit", [
+        ((0, 16), 45.0, 16), ((16, 0, 16), 45.0, 16), ((500, 0, 480), 1.5, 500)])
+    def test_overflow_is_a_value_error_naming_gamma_and_deficit(self, counts, gamma,
+                                                                deficit):
+        # Rounding the term to 0 would under-report the miss probability.
+        with pytest.raises(ValueError, match=rf"gamma={gamma!r} and deficit {deficit}\b"):
+            q_upper_bound(VoteHistogram(counts), gamma)
+
+    def test_clamp_before_an_overflowing_term_keeps_one(self):
+        assert q_upper_bound(VoteHistogram((16, 16, 16, 0)), 45.0) == 1.0
 
     @given(hist=histograms(), gamma=st.floats(min_value=0.01, max_value=1.0))
     def test_always_in_unit_interval(self, hist, gamma):

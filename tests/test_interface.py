@@ -184,6 +184,46 @@ class TestLedgerBooleans:
         assert ":2: malformed ledger entry: 'lambda' holds a boolean" in capsys.readouterr().err
 
 
+class TestLedgerHeaderTypes:
+    """float(), int() and tuple() would coerce a header of strings."""
+
+    @pytest.mark.parametrize("header, message", [
+        pytest.param("[1]", "expected an object, got list", id="list"),
+        pytest.param('"ledger"', "expected an object, got str", id="string"),
+        pytest.param('{"format_version":1,"gamma":"0.05","lambda_grid":"12345678","seed":"0"}',
+                     "'gamma' holds a str, not a number", id="all-strings"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":"12345678","seed":0}',
+                     "'lambda_grid' holds a str, not a list", id="grid-string"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,"8"],'
+                     '"seed":0}', "'lambda_grid' holds a str, not an integer",
+                     id="grid-order-string"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8.0],'
+                     '"seed":0}', "'lambda_grid' holds a float, not an integer",
+                     id="grid-order-float"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
+                     '"seed":"0"}', "'seed' holds a str, not an integer", id="seed-string"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
+                     '"seed":0.0}', "'seed' holds a float, not an integer", id="seed-float"),
+        pytest.param('{"format_version":1.0,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
+                     '"seed":0}', "'format_version' holds a float, not an integer",
+                     id="version-float"),
+    ])
+    def test_rejected_on_line_one(self, tmp_path, capsys, header, message):
+        lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()
+        path = write(tmp_path / "ledger.jsonl", "\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(FileFormatError, match=f":1: malformed ledger header: {message}"):
+            read_ledger(path)
+        assert main(["account", str(path), "--delta", "1e-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_fixture_header_still_accepted(self, tmp_path):
+        out = tmp_path / "guarantee.json"
+        assert main(["account", str(DATA / "expected_ledger.jsonl"), "--delta", "1e-5",
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "expected_guarantee.json").read_bytes()
+
+
 query_ids = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é✓😀", "\u2028", "q0000001"])
 special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf, 1.0])
@@ -380,6 +420,25 @@ class TestCliAggregateAccount:
         self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
                  "--labels-out", tmp_path / "l.jsonl", "--ledger-out", ledger)
         assert self.run("account", ledger, "--delta", "0") == 1
+
+
+class TestCliOverflow:
+    """A q bound beyond the float range is an input error, not a traceback."""
+
+    @pytest.mark.parametrize("counts, gamma, message", [
+        ([5, 3], "200", "q threshold overflows at gamma=200.0"),
+        ([0, 16], "45", "q bound overflows at gamma=45.0 and deficit 16"),
+    ])
+    def test_aggregate_exits_one_without_output(self, tmp_path, capsys, counts, gamma,
+                                                message):
+        votes = write(tmp_path / "votes.jsonl",
+                      json.dumps({"query_id": "a", "counts": counts}) + "\n")
+        labels, ledger = tmp_path / "labels.jsonl", tmp_path / "ledger.jsonl"
+        assert main(["aggregate", str(votes), "--gamma", gamma, "--labels-out", str(labels),
+                     "--ledger-out", str(ledger)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not labels.exists() and not ledger.exists()
 
 
 class TestCliSimulate:

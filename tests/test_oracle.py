@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from privagg import (
     AdjacentPair,
@@ -18,7 +20,68 @@ from privagg import (
     outcome_distribution,
     q_upper_bound,
 )
+from privagg import oracle
+from privagg.verification import random_histogram
 from conftest import histograms
+
+
+def quad_probs(counts, gamma):
+    """Win probabilities by adaptive quadrature, one ``quad`` per class.
+
+    This was the oracle's own method before it moved to graded
+    Gauss–Legendre; it stays here as an independent cross-reference.
+    ``epsabs=0`` asks for relative accuracy only: with the oracle's old
+    absolute floor of 1e-13, ``quad`` stopped early on small probabilities
+    (1.5e-6 relative error on the losers of (46, 0, 0, 0, 0) at gamma 0.77).
+    """
+    b = 1.0 / gamma
+    values = [float(c) for c in counts]
+    lo, hi = min(values) - 40.0 * b, max(values) + 40.0 * b
+    kinks = sorted(set(values))
+    exp = math.exp
+    probs = []
+    for j, nj in enumerate(values):
+        others = values[:j] + values[j + 1:]
+
+        def integrand(t, nj=nj, others=others):
+            v = exp(-abs(t - nj) / b) / (2.0 * b)
+            for nk in others:
+                y = t - nk
+                v *= 0.5 * exp(y / b) if y < 0.0 else 1.0 - 0.5 * exp(-y / b)
+            return v
+
+        value, _ = quad(integrand, lo, hi, points=kinks, limit=500, epsabs=0.0,
+                        epsrel=1e-12)
+        probs.append(value)
+    return probs
+
+
+def mp_win_probability(counts, gamma, j):
+    """P(class j wins) by 30-digit mpmath quadrature over the same integrand.
+
+    mpmath's quadrature converges to an absolute tolerance, so a first pass
+    finds the magnitude and a second integrates the integrand scaled to
+    O(1).  The result must certify its own error far below the checks.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        g = mp.mpf(gamma)
+        values = [mp.mpf(c) for c in counts]
+        nj, others = values[j], values[:j] + values[j + 1:]
+
+        def integrand(t):
+            v = g / 2 * mp.exp(-g * abs(t - nj))
+            for nk in others:
+                y = g * (t - nk)
+                v *= mp.exp(y) / 2 if y < 0 else 1 - mp.exp(-y) / 2
+            return v
+
+        kinks = sorted(set(values))
+        points = [kinks[0] - 60 / g, *kinks, kinks[-1] + 60 / g]
+        scale = mp.quad(integrand, points)
+        value, error = mp.quad(lambda t: integrand(t) / scale, points, error=True)
+        assert error < mp.mpf("1e-20") * value
+        return float(value * scale)
 
 
 class TestOutcomeDistribution:
@@ -60,11 +123,86 @@ class TestOutcomeDistribution:
             for j in range(3):
                 assert probs[perm[j]] == pytest.approx(base[j], abs=1e-9)
 
+    def test_agrees_with_adaptive_quadrature(self):
+        """300 sweep-style histograms and all their neighbours, at 1e-9
+        relative per class (measured: within 6e-15)."""
+        rng = np.random.default_rng(20)
+        seen = set()
+        for _ in range(300):
+            hist = random_histogram(rng)
+            gamma = float(rng.uniform(0.01, 1.0))
+            for counts in [hist.counts, *(p.d_prime.counts for p in enumerate_neighbors(hist))]:
+                if (counts, gamma) in seen:
+                    continue
+                seen.add((counts, gamma))
+                probs = outcome_distribution(VoteHistogram(counts), gamma).probs
+                for got, want in zip(probs, quad_probs(counts, gamma)):
+                    assert got == pytest.approx(want, rel=1e-9, abs=0.0), (counts, gamma)
+        assert len(seen) > 3000
+
     def test_size_guards(self):
         with pytest.raises(UnsupportedSizeError):
             outcome_distribution(VoteHistogram((1,) * 17), 0.1)
         with pytest.raises(UnsupportedSizeError):
             outcome_distribution(VoteHistogram((10_001, 1)), 0.1)
+
+
+class TestAgainstMpmath:
+    """Exactly tight and extreme shapes against 30-digit integrals, at 1e-12."""
+
+    def assert_matches(self, counts, gamma, classes=None, probs=None):
+        if probs is None:
+            probs = outcome_distribution(VoteHistogram(counts), gamma).probs
+        for j in classes if classes is not None else range(len(counts)):
+            want = mp_win_probability(counts, gamma, j)
+            assert probs[j] == pytest.approx(want, rel=1e-12, abs=0.0), (counts, gamma, j)
+
+    @pytest.mark.parametrize("counts, gamma", [
+        ((5, 5), 0.37), ((1, 1), 0.01), ((30, 30), 1.0), ((200, 200), 20.0)])
+    def test_flat_two_class(self, counts, gamma):
+        self.assert_matches(counts, gamma)
+
+    def test_three_way_tie(self):
+        self.assert_matches((7, 7, 7), 0.2)
+
+    @pytest.mark.parametrize("counts, gamma", [
+        ((10, 3), 0.3), ((50, 0), 1.0), ((30, 29), 0.01), ((40, 38), 50.0)])
+    def test_two_class_closed_form(self, counts, gamma):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            gd = mp.mpf(gamma) * (counts[0] - counts[1])
+            expected = float((2 + gd) / (4 * mp.exp(gd)))
+        probs = outcome_distribution(VoteHistogram(counts), gamma).probs
+        assert probs[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_wide_gap_at_large_counts(self):
+        # Adaptive quad with the old tolerances gave 1.1079e-8 for class 1
+        # of both shapes, 2.3% below the true 1.13363e-8.
+        self.assert_matches((5_000, 4_990, 3), 2.0, classes=(0, 1))
+        # n = 19993 is past the size guard, so call the quadrature directly.
+        counts = (10_000, 9_990, 3)
+        self.assert_matches(counts, 2.0, classes=(0, 1),
+                            probs=oracle._outcome_probs(counts, 2.0))
+
+    def test_narrow_margin_at_large_gamma(self):
+        self.assert_matches((40, 38), 50.0)
+
+    def test_sixteen_classes_near_ten_thousand_votes(self):
+        counts = (700, 690, 680) + (610,) * 13
+        assert sum(counts) == 10_000
+        self.assert_matches(counts, 5.0, classes=(0, 1, 2, 3))
+
+    def test_sixteen_distinct_counts_stay_cheap(self):
+        # Pieces grow geometrically away from each kink; uniform pieces of a
+        # few noise scales would need ~10^5 of them at gamma 50 and n 10^4.
+        counts = (2500, 1800, 1200, 1000, 900, 800, 600, 400, 300, 200, 150, 100,
+                  30, 10, 5, 5)
+        assert sum(counts) == 10_000
+        for gamma in (0.01, 1.0, 50.0):
+            started = time.perf_counter()
+            probs = outcome_distribution(VoteHistogram(counts), gamma).probs
+            assert time.perf_counter() - started < 1.0
+            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMonteCarloFrequencies:
