@@ -182,13 +182,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _number(obj: dict, key: str, prefix: str = "") -> float:
+    if key not in obj:
+        raise ValueError(f"'{prefix}{key}' is missing")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{prefix}{key}' holds {type(value).__name__}, not a number")
+    return value
+
+
 def _format_guarantee_rows(obj: dict) -> list[tuple[str, str, str, str]]:
     rows = []
     for key in ("moments", "strong_composition"):
         if key in obj:
             g = obj[key]
+            if not isinstance(g, dict):
+                raise ValueError(f"'{key}' holds {type(g).__name__}, not an object")
             lam = g.get("argmin_lambda")
-            rows.append((g["method"], f"{g['epsilon']:.4f}", f"{g['delta']:g}",
+            rows.append((str(g.get("method")), f"{_number(g, 'epsilon', key + '.'):.4f}",
+                         f"{_number(g, 'delta', key + '.'):g}",
                          "-" if lam is None else str(lam)))
     return rows
 
@@ -206,18 +218,28 @@ def _cmd_report(args) -> int:
         return EXIT_OK
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    rows = _format_guarantee_rows(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    try:
+        rows = _format_guarantee_rows(obj)
+        gamma = _number(obj, "gamma") if "gamma" in obj else None
+        accuracy = obj.get("aggregate_accuracy")
+        if accuracy is not None:
+            accuracy = _number(obj, "aggregate_accuracy")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path} holds neither guarantees nor a sweep table")
     print(f"privacy guarantees from {path}:")
-    if "gamma" in obj:
-        print(f"  gamma = {obj['gamma']:g}  (noise scale 1/gamma = {1.0 / obj['gamma']:g})")
+    if gamma is not None:
+        scale = f"{1.0 / gamma:g}" if gamma else "inf"
+        print(f"  gamma = {gamma:g}  (noise scale 1/gamma = {scale})")
     if obj.get("num_queries") is not None:
         print(f"  queries = {obj['num_queries']}")
     elif "moments" in obj:
         print(f"  queries = {obj['moments'].get('num_queries')}")
-    if obj.get("aggregate_accuracy") is not None:
-        print(f"  aggregate accuracy = {obj['aggregate_accuracy']:.4f}")
+    if accuracy is not None:
+        print(f"  aggregate accuracy = {accuracy:.4f}")
     print("  {:<20}{:>10}{:>10}  {}".format("method", "epsilon", "delta", "lambda*"))
     for method, eps, delta, lam in rows:
         print(f"  {method:<20}{eps:>10}{delta:>10}  {lam}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,17 +36,19 @@ MAX_TEACHERS = 10_000
 _TAIL_SCALE_UNITS = 40.0
 
 # Gauss–Legendre nodes per quadrature piece.
-_GL_ORDER = 48
+_GL_ORDER = 16
 
 # Slack for comparing quadrature output with analytic bounds, some of which
 # are exactly tight (flat two-class histograms meet the q bound).  Measured
-# relative error per class probability: at most 1.6e-15 against 30-digit
-# mpmath integrals on the tight and extreme shapes of tests/test_oracle.py,
-# and at most 5.7e-15 against scipy's adaptive quad (epsrel 1e-12) on 4486
-# sweep histograms.  A relative error e per probability moves the moment of
-# order l by about (2l + 1) e, so 1e-13 at l = 8; the largest exceedance in
-# the 3000-case criterion-3 sweep is 1.5e-15.  1e-9 keeps four orders of
-# magnitude of margin above that.
+# relative error per class probability of the 16-node rule: at most 4.4e-16
+# against 30-digit mpmath integrals on the tight and extreme shapes of
+# tests/test_oracle.py, at most 4.4e-15 against scipy's adaptive quad
+# (epsrel 1e-12) on 4486 sweep histograms, and at most 3.8e-15 from the
+# former 48-node rule on 4528 sweep histograms and the extreme shapes.  A
+# relative error e per probability moves the moment of order l by about
+# (2l + 1) e, so 1e-13 at l = 8; the largest exceedance is 6.6e-16 in the
+# 3000-case criterion-3 sweep and 1.8e-15 in the 300-case sweep at m <= 10,
+# n <= 250.  1e-9 keeps four orders of magnitude of margin above 1e-13.
 QUADRATURE_TOLERANCE = 1e-9
 
 _MC_CHUNK = 200_000
@@ -58,18 +60,23 @@ class UnsupportedSizeError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
-    """Per-class probabilities that the noisy argmax returns each class."""
+    """Per-class probabilities that the noisy argmax returns each class,
+    with their natural logs (-inf where a probability is 0)."""
 
     probs: tuple[float, ...]
+    log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for j, p in enumerate(self.probs):
-            if p < -1e-12 or p > 1.0 + 1e-12:
+            if not -1e-12 <= p <= 1.0 + 1e-12:
                 raise ValueError(f"probability for class {j} outside [0, 1]: {p!r}")
         total = sum(self.probs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-        object.__setattr__(self, "probs", tuple(max(0.0, float(p)) for p in self.probs))
+        probs = tuple(max(0.0, float(p)) for p in self.probs)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "log_probs",
+                           tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,11 +114,11 @@ def _check_size(counts: tuple[int, ...]) -> None:
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the fixed-order Gauss–Legendre rule on [0, 1]."""
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss–Legendre rule of ``order`` on [0, 1]."""
     # Imported here: ``import numpy`` does not load numpy.polynomial.
     from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(_GL_ORDER)
+    x, w = leggauss(order)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -124,30 +131,57 @@ def _outcome_distribution(counts: tuple[int, ...], gamma: float) -> OutcomeDistr
 
 
 def _outcome_probs(counts: tuple[int, ...], gamma: float) -> tuple[float, ...]:
-    """Win probability of every class, by graded Gauss–Legendre quadrature.
+    """Win probability of every class, by the 16-node graded quadrature of
+    ``_graded_quadrature``, run once per sorted histogram.
 
-    Class j wins exactly when its perturbed count tops the rest, so
+    Ties have probability 0 under continuous noise, so the probabilities
+    are permutation-equivariant and depend on a class only through its
+    count: permuted histograms, and neighbours that differ only in which
+    class holds a count, share one cached quadrature.  Not size-guarded.
+    """
+    kinks = sorted(set(counts))
+    by_count = dict(zip(kinks, _sorted_outcome_probs(tuple(sorted(counts)), gamma)))
+    return tuple(by_count[c] for c in counts)
+
+
+@functools.lru_cache(maxsize=4096)
+def _sorted_outcome_probs(counts: tuple[int, ...], gamma: float) -> tuple[float, ...]:
+    """Win probability of a class at each distinct count of sorted ``counts``."""
+    kinks = sorted(set(counts))
+    return tuple(_graded_quadrature(kinks, [counts.count(k) for k in kinks], gamma))
+
+
+def _graded_quadrature(kinks, reps, gamma: float, order: int = _GL_ORDER) -> list[float]:
+    """Win probability of one class at each distinct count, by graded
+    Gauss–Legendre quadrature.
+
+    ``reps[i]`` classes hold the count ``kinks[i]``.  Class j wins exactly
+    when its perturbed count tops the rest, so
 
         P(j) = integral  pdf(t - n_j) * prod_{k != j} cdf(t - n_k)  dt
 
-    with Laplace pdf/cdf of scale b = 1/gamma.  The integrand has kinks at
-    the distinct counts.  Between two of them every factor has one analytic
+    with Laplace pdf/cdf of scale b = 1/gamma; classes with equal counts
+    share the integrand, and the product takes each distinct count's CDF
+    to the power of its multiplicity.  The integrand has kinks at the
+    distinct counts.  Between two of them every factor has one analytic
     form, so the integrand is a sum of exponentials exp(r t / b) with
     |r| <= m, each largest at a kink.  Every kink owns the reach to the
     midpoint of each neighbouring gap (40 b on the outer sides, where the
     tails are truncated), cut at the offsets b, 2b, 4b, ...  A piece is
     therefore never wider than max(b, its distance from the kink), so an
-    exponential either varies by at most e^m across it, which the 48-node
-    rule integrates to double precision, or has decayed there by at least
-    as much as it varies, which keeps the rule's error far below rounding.
-    Nodes are kept as offsets from their kink, so gamma * (t - n_k) keeps
-    full relative precision at any count.
+    exponential either varies by at most e^m across it or has decayed
+    there by at least as much as it varies.  The 16-node rule integrates
+    both to double precision: on the 300 sweep cases of one seed with all
+    their neighbours (4,528 histograms) and on the extreme shapes of
+    tests/test_oracle.py, its largest relative difference per class from
+    the 48-node rule is 3.8e-15.  Nodes are kept as offsets from their
+    kink, so gamma * (t - n_k) keeps full relative precision at any count.
 
-    All classes are evaluated in one (m, N) array; the leave-one-out CDF
-    product comes from running prefix and suffix products over the classes.
+    All distinct counts are evaluated in one (d, N) array; the
+    leave-one-out CDF product comes from running prefix and suffix
+    products over them.
     """
     b = 1.0 / gamma
-    kinks = sorted(set(counts))
     tail = _TAIL_SCALE_UNITS * b
     halves = [(hi - lo) / 2.0 for lo, hi in zip(kinks, kinks[1:])]
     # Pieces as (kink, signed start offset, signed width), graded outwards.
@@ -161,26 +195,34 @@ def _outcome_probs(counts: tuple[int, ...], gamma: float) -> tuple[float, ...]:
                 starts.append(side * cut)
                 widths.append(side * (end - cut))
                 cut, end = end, 2.0 * end
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_legendre(order)
     width = np.array(widths)[:, None]
     offset = (np.array(starts)[:, None] + width * nodes).ravel()
     weight = (gamma * np.abs(width) * weights).ravel()
     anchor = np.array(anchors, dtype=float).repeat(nodes.size)
 
     # z[k] = gamma * (t - n_k); half = pdf / gamma = exp(-|z|) / 2.
-    z = gamma * ((anchor - np.array(counts, dtype=float)[:, None]) + offset)
+    z = gamma * ((anchor - np.array(kinks, dtype=float)[:, None]) + offset)
     half = 0.5 * np.exp(-np.abs(z))
     cdf = np.where(z < 0.0, half, 1.0 - half)
+    # A count held by r classes enters every other class's product as
+    # cdf^r and its own class's as cdf^(r - 1).
+    own = [(k, cdf[k] ** (r - 1)) for k, r in enumerate(reps) if r > 1]
+    for k, power in own:
+        cdf[k] *= power
     others = np.empty_like(cdf)
     others[0] = 1.0
-    for k in range(1, len(counts)):
+    for k in range(1, len(kinks)):
         np.multiply(others[k - 1], cdf[k - 1], out=others[k])
     suffix = np.ones_like(offset)
-    for k in range(len(counts) - 1, 0, -1):
+    for k in range(len(kinks) - 1, 0, -1):
         suffix *= cdf[k]
         others[k - 1] *= suffix
-    probs = np.einsum("ij,ij,j->i", half, others, weight)
-    return tuple(max(0.0, p) for p in probs.tolist())
+    for k, power in own:
+        others[k] *= power
+    others *= half
+    probs = others @ weight
+    return [max(0.0, p) for p in probs.tolist()]
 
 
 def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistribution:
@@ -188,8 +230,10 @@ def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistributi
 
     Raises UnsupportedSizeError beyond m = 16 classes or n = 10^4 votes.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    # b = 1/gamma must be a finite positive scale: at gamma = inf the
+    # quadrature's pieces would never grow, and NaN compares false.
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     return _outcome_distribution(hist.counts, float(gamma))
 
 
@@ -202,8 +246,8 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
     vectorized in chunks; ``trials=1`` therefore reproduces a single
     mechanism invocation for the same seed.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m = hist.num_classes
@@ -278,17 +322,13 @@ def exact_moment(pair: AdjacentPair, gamma: float, order: int) -> float:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    p = outcome_distribution(pair.d, gamma).probs
-    q = outcome_distribution(pair.d_prime, gamma).probs
-    log_terms = []
-    for pj, qj in zip(p, q):
-        if pj == 0.0:
-            continue
-        if qj == 0.0:
-            return math.inf
-        log_terms.append((order + 1) * math.log(pj) - order * math.log(qj))
-    peak = max(log_terms)
-    return peak + math.log(sum(math.exp(t - peak) for t in log_terms))
+    p = outcome_distribution(pair.d, gamma).log_probs
+    q = outcome_distribution(pair.d_prime, gamma).log_probs
+    terms = [(order + 1) * lp - order * lq for lp, lq in zip(p, q) if lp != -math.inf]
+    peak = max(terms)
+    if peak == math.inf:
+        return math.inf
+    return peak + math.log(sum([math.exp(t - peak) for t in terms]))
 
 
 def empirical_eps(pair: AdjacentPair, gamma: float) -> float:
@@ -298,13 +338,13 @@ def empirical_eps(pair: AdjacentPair, gamma: float) -> float:
     skipped; one-sided zeros yield +inf (an internal error at supported
     sizes, as for ``exact_moment``).
     """
-    p = outcome_distribution(pair.d, gamma).probs
-    q = outcome_distribution(pair.d_prime, gamma).probs
+    p = outcome_distribution(pair.d, gamma).log_probs
+    q = outcome_distribution(pair.d_prime, gamma).log_probs
     worst = 0.0
-    for pj, qj in zip(p, q):
-        if pj == 0.0 and qj == 0.0:
+    for lp, lq in zip(p, q):
+        if lp == lq == -math.inf:
             continue
-        if pj == 0.0 or qj == 0.0:
+        if lp == -math.inf or lq == -math.inf:
             return math.inf
-        worst = max(worst, abs(math.log(pj) - math.log(qj)))
+        worst = max(worst, abs(lp - lq))
     return worst

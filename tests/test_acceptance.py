@@ -89,6 +89,22 @@ def test_criterion_3_bound_soundness_sweep():
                "within quadrature tolerance)", started)
 
 
+def test_criterion_3_soundness_at_paper_scale():
+    """300 cases up to the paper's m = 10 classes and n = 250 teachers."""
+    started = time.perf_counter()
+    report = soundness_sweep(300, seed=0, grid=GRID, max_classes=10, max_teachers=250)
+    stats = report.stats
+    assert report.cases == 300
+    for name in ("miss_probability", "moment_bound", "pure_dp"):
+        assert stats[name].checks > 0, f"criterion 3: {name} never ran"
+        assert stats[name].failures == 0, (
+            f"criterion 3: {stats[name].failures} violations in {name} at paper "
+            f"scale, max {stats[name].max_violation:.3e}")
+    _report(3, f"{sum(s.checks for s in stats.values())} bound checks at m <= 10, "
+               f"n <= 250, 0 violations (max exceedance {report.max_violation:.2e})",
+            started)
+
+
 def test_criterion_4_quadrature_vs_monte_carlo():
     """Quadrature and 10^6-trial Monte Carlo agree within 4 standard errors."""
     started = time.perf_counter()

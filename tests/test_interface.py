@@ -551,3 +551,17 @@ class TestCliReport:
         path = tmp_path / "x.json"
         path.write_text('{"foo": 1}')
         assert main(["report", str(path)]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "holds a JSON int, not an object"),
+        ('{"moments": 1}', "'moments' holds int, not an object"),
+        ('{"moments": {"epsilon": 1}}', "'moments.delta' is missing"),
+    ], ids=["int", "moments-int", "no-delta"])
+    def test_malformed_guarantee_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""

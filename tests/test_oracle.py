@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from privagg import (
     AdjacentPair,
     MechanismParams,
+    OutcomeDistribution,
     UnsupportedSizeError,
     VoteHistogram,
     empirical_eps,
@@ -23,6 +24,14 @@ from privagg import (
 from privagg import oracle
 from privagg.verification import random_histogram
 from conftest import histograms
+
+# Shapes where small probabilities, wide gaps, narrow margins or many
+# classes stress the quadrature.
+EXTREME_SHAPES = [
+    ((5_000, 4_990, 3), 2.0), ((10_000, 9_990, 3), 2.0), ((40, 38), 50.0),
+    ((46, 0, 0, 0, 0), 0.77), ((2, 37, 3), 0.761),
+    *((((700, 690, 680) + (610,) * 13), gamma) for gamma in (0.01, 5.0, 50.0)),
+]
 
 
 def quad_probs(counts, gamma):
@@ -53,6 +62,22 @@ def quad_probs(counts, gamma):
         value, _ = quad(integrand, lo, hi, points=kinks, limit=500, epsabs=0.0,
                         epsrel=1e-12)
         probs.append(value)
+    return probs
+
+
+def gl48_probs(counts, gamma):
+    """Win probabilities by the 48-node rule the oracle used before 16.
+
+    Every class is passed as its own kink, so the leave-one-out CDF product
+    runs class by class, as it did then: equal counts add no pieces (the
+    gap between them is 0) and no multiplicity shortcut applies.
+    """
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    values = oracle._graded_quadrature([counts[j] for j in order], [1] * len(counts),
+                                       gamma, order=48)
+    probs = [0.0] * len(counts)
+    for j, p in zip(order, values):
+        probs[j] = p
     return probs
 
 
@@ -139,6 +164,71 @@ class TestOutcomeDistribution:
                 for got, want in zip(probs, quad_probs(counts, gamma)):
                     assert got == pytest.approx(want, rel=1e-9, abs=0.0), (counts, gamma)
         assert len(seen) > 3000
+
+    def test_sixteen_nodes_match_forty_eight(self):
+        """300 sweep-style histograms with all their neighbours, and the
+        extreme shapes, at 1e-13 relative per class (measured: 5.3e-15)."""
+        rng = np.random.default_rng(21)
+        cases = set()
+        for _ in range(300):
+            hist = random_histogram(rng)
+            gamma = float(rng.uniform(0.01, 1.0))
+            cases.add((hist.counts, gamma))
+            cases.update((p.d_prime.counts, gamma) for p in enumerate_neighbors(hist))
+        assert len(cases) > 3000
+        for counts, gamma in sorted(cases) + EXTREME_SHAPES:
+            # n = 19993 is past the size guard, so call the quadrature directly.
+            probs = oracle._outcome_probs(counts, gamma)
+            for got, want in zip(probs, gl48_probs(counts, gamma)):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (counts, gamma)
+
+    @given(counts=st.lists(st.integers(min_value=0, max_value=30), min_size=2,
+                           max_size=16).filter(any),
+           gamma=st.floats(min_value=0.01, max_value=50.0), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_counts_give_permuted_probabilities(self, counts, gamma, data):
+        perm = data.draw(st.permutations(range(len(counts))))
+        base = outcome_distribution(VoteHistogram(tuple(counts)), gamma).probs
+        permuted = VoteHistogram(tuple(counts[j] for j in perm))
+        assert outcome_distribution(permuted, gamma).probs == tuple(base[j] for j in perm)
+
+    def test_size_guard_holds_when_the_sorted_quadrature_is_cached(self):
+        # Direct calls past the guard fill the sorted-key cache; a raw key
+        # that misses must still be size-checked.
+        oracle._outcome_probs((10_000, 9_990, 3), 2.0)
+        with pytest.raises(UnsupportedSizeError):
+            outcome_distribution(VoteHistogram((3, 9_990, 10_000)), 2.0)
+        oracle._outcome_probs((1,) * 17, 0.1)
+        with pytest.raises(UnsupportedSizeError):
+            outcome_distribution(VoteHistogram((1,) * 17), 0.1)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_gamma_must_be_finite_and_positive(self, monkeypatch, gamma):
+        # A quadrature at gamma = inf never ends, so none may start.
+        def no_quadrature(*args):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(oracle, "_outcome_probs", no_quadrature)
+        hist = VoteHistogram((3, 1))
+        pair = AdjacentPair(hist, VoteHistogram((2, 2)))
+        for call in (lambda: outcome_distribution(hist, gamma),
+                     lambda: mc_outcome_frequencies(hist, gamma, 10),
+                     lambda: exact_moment(pair, gamma, 2),
+                     lambda: empirical_eps(pair, gamma)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
+
+    @pytest.mark.parametrize("probs", [
+        (math.nan, math.nan), (math.nan, 1.0), (0.5, math.nan, 0.5)])
+    def test_nan_probabilities_are_rejected(self, probs):
+        with pytest.raises(ValueError):
+            OutcomeDistribution(probs)
+
+    def test_log_probs(self):
+        dist = OutcomeDistribution((0.25, 0.75, 0.0))
+        assert dist.log_probs == (math.log(0.25), math.log(0.75), -math.inf)
+        assert dist == OutcomeDistribution((0.25, 0.75, 0.0))
+        assert "log_probs" not in repr(dist)
 
     def test_size_guards(self):
         with pytest.raises(UnsupportedSizeError):
@@ -295,6 +385,48 @@ class TestAdjacentPair:
 
     def test_accepts_identical(self):
         AdjacentPair(VoteHistogram((5, 5)), VoteHistogram((5, 5)))
+
+
+def log_formula_moment(p, q, order):
+    """exact_moment as it was, with two math.log calls per outcome."""
+    log_terms = []
+    for pj, qj in zip(p, q):
+        if pj == 0.0:
+            continue
+        if qj == 0.0:
+            return math.inf
+        log_terms.append((order + 1) * math.log(pj) - order * math.log(qj))
+    peak = max(log_terms)
+    return peak + math.log(sum(math.exp(t - peak) for t in log_terms))
+
+
+def log_formula_eps(p, q):
+    """empirical_eps as it was, with two math.log calls per outcome."""
+    worst = 0.0
+    for pj, qj in zip(p, q):
+        if pj == 0.0 and qj == 0.0:
+            continue
+        if pj == 0.0 or qj == 0.0:
+            return math.inf
+        worst = max(worst, abs(math.log(pj) - math.log(qj)))
+    return worst
+
+
+def test_cached_logs_give_the_same_floats():
+    rng = np.random.default_rng(22)
+    cases = [(VoteHistogram((9_999, 0)), 50.0), (VoteHistogram((46, 0, 0, 0, 0)), 0.77)]
+    for _ in range(40):
+        cases.append((random_histogram(rng), float(rng.uniform(0.01, 1.0))))
+    zeros = 0
+    for hist, gamma in cases:
+        for pair in enumerate_neighbors(hist):
+            p = outcome_distribution(pair.d, gamma).probs
+            q = outcome_distribution(pair.d_prime, gamma).probs
+            zeros += 0.0 in p
+            assert empirical_eps(pair, gamma) == log_formula_eps(p, q)
+            for order in range(1, 9):
+                assert exact_moment(pair, gamma, order) == log_formula_moment(p, q, order)
+    assert zeros > 0
 
 
 class TestExactMoment:
