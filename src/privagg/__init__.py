@@ -11,9 +11,7 @@ from .accountant import (
     Guarantee,
     GuaranteeMethod,
     LambdaGrid,
-    MomentSource,
     PrivacyLedger,
-    QueryMoment,
     book,
     compose,
     data_dependent_moment,
@@ -68,10 +66,8 @@ __all__ = [
     "GuaranteeMethod",
     "LambdaGrid",
     "MechanismParams",
-    "MomentSource",
     "OutcomeDistribution",
     "PrivacyLedger",
-    "QueryMoment",
     "SweepResult",
     "UnsupportedSizeError",
     "VerificationReport",

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .mechanism import MechanismParams, VoteHistogram, plurality
 
@@ -36,13 +37,6 @@ from .mechanism import MechanismParams, VoteHistogram, plurality
 # data-dependent bound; cannot trigger for q below the validity threshold
 # but guards callers that bypass the threshold check.
 _DENOMINATOR_GUARD = 1e-12
-
-
-class MomentSource(enum.Enum):
-    """Which bound produced a query's moment bound at one order."""
-
-    DATA_INDEPENDENT = "DataIndependent"
-    DATA_DEPENDENT = "DataDependent"
 
 
 class GuaranteeMethod(enum.Enum):
@@ -59,6 +53,9 @@ class LambdaGrid:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"lambda grid values must be integers, got {v!r}")
         vals = tuple(int(v) for v in self.values)
         if not vals:
             raise ValueError("lambda grid must be non-empty")
@@ -80,71 +77,57 @@ class LambdaGrid:
         return cls.up_to(8)
 
 
-@dataclass(frozen=True, slots=True)
-class QueryMoment:
-    """One booked query: its q bound and one moment bound per order.
-
-    ``orders``, ``alphas`` and ``sources`` are aligned tuples: ``alphas[k]``
-    bounds the moment at ``orders[k]``, and ``sources[k]`` records which
-    bound won there.  ``q_bound`` is the upper bound on Pr[outcome !=
-    plurality winner] used to decide whether the data-dependent bound
-    applied.
-    """
-
-    query_id: str
-    gamma: float
-    q_bound: float
-    orders: tuple[int, ...]
-    alphas: tuple[float, ...]
-    sources: tuple[MomentSource, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.query_id, str):
-            raise ValueError(f"query_id must be a string, got {self.query_id!r}")
-        if not 0.0 <= self.q_bound <= 1.0:
-            raise ValueError(f"q_bound must lie in [0, 1], got {self.q_bound!r}")
-        if not 0 < len(self.orders) == len(self.alphas) == len(self.sources):
-            raise ValueError(
-                "QueryMoment needs equally many orders, alphas and sources, at least "
-                f"one; got {len(self.orders)}, {len(self.alphas)}, {len(self.sources)}")
-        for order in self.orders:
-            if order < 1:
-                raise ValueError(f"moment order must be >= 1, got {order}")
-        for alpha in self.alphas:
-            if not alpha >= 0.0:
-                raise ValueError(f"moment bound must be non-negative, got {alpha!r}")
+def _finite_nonnegative(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number >= 0."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            held = "a boolean" if isinstance(value, bool) else f"a {type(value).__name__}"
+            raise ValueError(f"{name!r} holds {held}, not a number")
+        value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name!r} must be finite and non-negative, got {value!r}")
+    return value
 
 
 @dataclass
 class PrivacyLedger:
-    """Append-only log of booked queries; the composition source of truth.
+    """Append-only columnar log of booked queries; the composition source of truth.
 
     Metadata pins the mechanism configuration: one gamma, one lambda grid,
-    one master seed per ledger.  ``append`` is the only way in, and it
-    rejects a query booked with another gamma or another order tuple, so
-    every stored ``QueryMoment`` has exactly the grid's orders and
-    composition never silently mixes configurations.
+    one master seed per ledger.  Query i is ``query_ids[i]``, booked with
+    the bound ``q_bounds[i]`` on Pr[outcome != plurality winner] and one
+    alpha per grid order in ``alphas[i]``.  ``append`` is the only way in;
+    it stores ``str`` ids and finite non-negative floats only.
     """
 
     gamma: float
     lambda_grid: LambdaGrid
     seed: int = 0
-    _entries: list[QueryMoment] = field(default_factory=list, repr=False)
+    query_ids: list[str] = field(default_factory=list, init=False, repr=False)
+    q_bounds: list[float] = field(default_factory=list, init=False, repr=False)
+    alphas: list[tuple[float, ...]] = field(default_factory=list, init=False, repr=False)
 
-    def append(self, moment: QueryMoment) -> None:
-        if moment.gamma != self.gamma:
-            raise ValueError(
-                f"ledger gamma is {self.gamma}, entry has gamma {moment.gamma}")
-        if moment.orders != self.lambda_grid.values:
-            raise ValueError(
-                f"ledger grid is {self.lambda_grid.values}, entry has {moment.orders}")
-        self._entries.append(moment)
+    def __post_init__(self):
+        self.gamma = _finite_nonnegative("gamma", self.gamma)
+        if not self.gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+
+    def append(self, query_id: str, q_bound: float, alphas) -> None:
+        if not isinstance(query_id, str):
+            raise ValueError(f"query_id must be a string, got {query_id!r}")
+        q_bound = _finite_nonnegative("q_bound", q_bound)
+        if q_bound > 1.0:
+            raise ValueError(f"q_bound must lie in [0, 1], got {q_bound!r}")
+        if len(alphas) != len(self.lambda_grid.values):
+            raise ValueError(f"ledger grid is {self.lambda_grid.values}, "
+                             f"entry has {len(alphas)} alphas")
+        alphas = tuple([_finite_nonnegative("alpha", alpha) for alpha in alphas])
+        self.query_ids.append(query_id)
+        self.q_bounds.append(q_bound)
+        self.alphas.append(alphas)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[QueryMoment]:
-        return iter(self._entries)
+        return len(self.query_ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,35 +257,31 @@ def _log_add(logx: float, logy: float) -> float:
     return b + math.log1p(math.exp(a - b))
 
 
-def per_query_moment(hist: VoteHistogram, gamma: float, grid: LambdaGrid,
-                     query_id: str = "") -> QueryMoment:
-    """Best available moment bound for one query at every grid order.
+def per_query_moment(hist: VoteHistogram, gamma: float,
+                     grid: LambdaGrid) -> tuple[float, tuple[float, ...]]:
+    """``(q_bound, alphas)``: the best available moment bound at every grid order.
 
-    Computes q from the raw (un-noised) histogram, takes the smaller of the
-    data-independent and (when q is below threshold) data-dependent bounds
-    at each order, and records which one won.  Because q depends on the
-    actual votes, the resulting bounds — and any epsilon derived from them
-    — are themselves data-dependent quantities.
+    Computes q from the raw (un-noised) histogram and takes the smaller of
+    the data-independent and (when q is below threshold) data-dependent
+    bounds at each order.  An alpha equals ``data_independent_moment``
+    exactly where that bound won and lies below it where the data-dependent
+    bound won.  Because q depends on the actual votes, the resulting bounds
+    — and any epsilon derived from them — are themselves data-dependent
+    quantities.
     """
     qb = q_upper_bound(hist, gamma)
     usable = qb < q_threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
-    alphas, sources = [], []
+    alphas = []
     for order in grid.values:
-        indep = two_gamma_sq * order * (order + 1)
-        alpha, source = indep, MomentSource.DATA_INDEPENDENT
+        alpha = two_gamma_sq * order * (order + 1)
         if usable:
             try:
-                dep = data_dependent_moment(qb, gamma, order)
+                alpha = min(alpha, data_dependent_moment(qb, gamma, order))
             except ValueError:
                 pass
-            else:
-                if dep < indep:
-                    alpha, source = dep, MomentSource.DATA_DEPENDENT
         alphas.append(alpha)
-        sources.append(source)
-    return QueryMoment(query_id=query_id, gamma=gamma, q_bound=qb, orders=grid.values,
-                       alphas=tuple(alphas), sources=tuple(sources))
+    return qb, tuple(alphas)
 
 
 def book(hists, query_ids, params: MechanismParams, grid: LambdaGrid) -> PrivacyLedger:
@@ -312,7 +291,7 @@ def book(hists, query_ids, params: MechanismParams, grid: LambdaGrid) -> Privacy
     """
     ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=params.seed)
     for hist, query_id in zip(hists, query_ids, strict=True):
-        ledger.append(per_query_moment(hist, params.gamma, grid, query_id=query_id))
+        ledger.append(query_id, *per_query_moment(hist, params.gamma, grid))
     return ledger
 
 
@@ -320,11 +299,14 @@ def compose(ledger: PrivacyLedger) -> dict[int, float]:
     """Sum the per-query moments order-wise: alpha_total(l) = sum_i alpha_i(l).
 
     Plain addition is exact composition for adaptive mechanisms; no other
-    aggregation is applied.  An empty ledger composes to all zeros.
+    aggregation is applied.  Each order adds left to right in ledger order,
+    whatever the Python version's ``sum`` would do.  An empty ledger
+    composes to all zeros.
     """
-    totals = {order: 0.0 for order in ledger.lambda_grid.values}
-    for moment in ledger:
-        for order, alpha in zip(moment.orders, moment.alphas):
+    orders = ledger.lambda_grid.values
+    totals = dict.fromkeys(orders, 0.0)
+    for alphas in ledger.alphas:
+        for order, alpha in zip(orders, alphas):
             totals[order] += alpha
     return totals
 

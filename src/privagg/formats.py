@@ -15,15 +15,15 @@ holding a JSON boolean where a number belongs is rejected.
 
 Every line of a ledger or label file is exactly the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for its object.
-Entries and label lines are filled into a fixed template when their fields
-have the plain types (``str`` ids, ``int`` orders and labels, finite
-``float`` numbers) and go through ``json.dumps`` otherwise.  Every writer
-replaces its target atomically: a failed write leaves the old file intact.
+Each moment of a ledger entry carries a ``source``: "DataDependent" where
+its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
+"DataIndependent" otherwise.  Writers derive it from the alpha, and readers
+reject a stored source that disagrees.  Every writer replaces its target
+atomically: a failed write leaves the old file intact.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import secrets
 from contextlib import contextmanager
@@ -32,20 +32,11 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .accountant import (
-    Guarantee,
-    LambdaGrid,
-    MomentSource,
-    PrivacyLedger,
-    QueryMoment,
-)
+from .accountant import Guarantee, LambdaGrid, PrivacyLedger, data_independent_moment
 from .mechanism import VoteHistogram, tally_votes
 from .simulation import SweepResult
 
 FORMAT_VERSION = 1
-
-_FLOAT, _INT, _SOURCE = {float}, {int}, {MomentSource}
-_SOURCE_BY_VALUE = {source.value: source for source in MomentSource}
 
 
 class FileFormatError(ValueError):
@@ -161,83 +152,64 @@ def write_labels(path, header: dict, labels: list[tuple[str, int]]) -> None:
             fh.write(_encode_label(query_id, label) + "\n")
 
 
-def _moment_to_obj(moment: QueryMoment) -> dict:
-    return {
-        "query_id": moment.query_id,
-        "gamma": moment.gamma,
-        "q_bound": moment.q_bound,
-        "moments": [
-            {"lambda": order, "alpha": alpha, "source": source.value}
-            for order, alpha, source in zip(moment.orders, moment.alphas, moment.sources)
-        ],
-    }
+def _independent_bounds(ledger: PrivacyLedger) -> tuple[float, ...]:
+    """The data-independent alpha at each grid order, as ``book`` computes it."""
+    return tuple(data_independent_moment(ledger.gamma, order)
+                 for order in ledger.lambda_grid.values)
 
 
-def _encode_entry(moment: QueryMoment) -> str:
-    """One ledger line: the bytes of ``_dump(_moment_to_obj(moment))``.
+def _sources(alphas, bounds) -> list[str]:
+    """The ``source`` of each alpha of an entry, given ``_independent_bounds``."""
+    return ["DataDependent" if alpha < bound else "DataIndependent"
+            for alpha, bound in zip(alphas, bounds)]
 
-    The template writes floats with ``float.__repr__`` as ``json`` does, but
-    ``json`` writes ``Infinity`` where ``repr`` writes ``inf``; so it takes
-    only exact types and finite floats (a float sum is finite only if every
-    term is), and any other entry goes through ``json``.  Source values need
-    no escaping; ``_value_`` skips the enum's ``value`` property.
+
+def _encode_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas) -> str:
+    """One ledger line: the bytes of ``_dump`` of the entry's object.
+
+    ``json`` writes every finite float as ``float.__repr__`` does, and a
+    ledger holds only ``str`` ids, ``int`` orders and finite floats.
     """
-    gamma, q_bound, alphas = moment.gamma, moment.q_bound, moment.alphas
-    if not (type(gamma) is float and type(q_bound) is float
-            and type(moment.query_id) is str and {*map(type, alphas)} == _FLOAT
-            and {*map(type, moment.orders)} == _INT
-            and {*map(type, moment.sources)} == _SOURCE
-            and math.isfinite(gamma + q_bound + sum(alphas))):
-        return _dump(_moment_to_obj(moment))
-    moments = ",".join([f'{{"alpha":{alpha!r},"lambda":{order!r},"source":"{source._value_}"}}'
+    moments = ",".join([f'{{"alpha":{alpha!r},"lambda":{order!r},"source":"{source}"}}'
                         for order, alpha, source
-                        in zip(moment.orders, alphas, moment.sources)])
-    return (f'{{"gamma":{gamma!r},"moments":[{moments}],"q_bound":{q_bound!r},'
-            f'"query_id":{encode_basestring_ascii(moment.query_id)}}}')
+                        in zip(ledger.lambda_grid.values, alphas, _sources(alphas, bounds))])
+    return (f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":{q_bound!r},'
+            f'"query_id":{encode_basestring_ascii(query_id)}}}')
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
     header = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
+    bounds = _independent_bounds(ledger)
     with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
-        for moment in ledger:
-            fh.write(_encode_entry(moment) + "\n")
+        for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
+            fh.write(_encode_entry(ledger, bounds, *entry) + "\n")
 
 
-def _reject_booleans(fields: dict[str, tuple]) -> None:
-    """Raise ValueError naming the first field whose values hold a JSON boolean.
-
-    Python compares and adds ``true`` as 1 and ``false`` as 0, so a boolean
-    would pass every numeric check of a ledger.
-    """
-    for name, values in fields.items():
-        if bool in {*map(type, values)}:
-            raise ValueError(f"{name!r} holds a boolean, not a number")
-
-
-def _parse_sources(moments) -> tuple[MomentSource, ...]:
-    try:
-        return tuple(map(_SOURCE_BY_VALUE.__getitem__, map(itemgetter("source"), moments)))
-    except (KeyError, TypeError):
-        # Unknown, unhashable or missing: let the enum raise its own error.
-        return tuple(MomentSource(e["source"]) for e in moments)
-
-
-def _parse_ledger_entry(path, line_no: int, obj) -> QueryMoment:
+def _parse_ledger_entry(path, line_no: int, obj, ledger: PrivacyLedger, bounds) -> str:
+    """Append the entry ``obj`` to ``ledger`` and return its query id."""
     try:
         moments = obj["moments"]
-        moment = QueryMoment(query_id=obj["query_id"], gamma=obj["gamma"],
-                             q_bound=obj["q_bound"],
-                             orders=tuple(map(itemgetter("lambda"), moments)),
-                             alphas=tuple(map(itemgetter("alpha"), moments)),
-                             sources=_parse_sources(moments))
-        if bool in {type(moment.gamma), type(moment.q_bound),
-                    *map(type, moment.orders), *map(type, moment.alphas)}:
-            _reject_booleans({"gamma": (moment.gamma,), "q_bound": (moment.q_bound,),
-                              "lambda": moment.orders, "alpha": moment.alphas})
+        query_id, gamma, q_bound = obj["query_id"], obj["gamma"], obj["q_bound"]
+        orders = tuple(map(itemgetter("lambda"), moments))
+        alphas = tuple(map(itemgetter("alpha"), moments))
+        sources = list(map(itemgetter("source"), moments))
+        if bool in {type(gamma), *map(type, orders)}:
+            # Python compares true as 1 and false as 0: they would pass the checks below.
+            name = "gamma" if type(gamma) is bool else "lambda"
+            raise ValueError(f"{name!r} holds a boolean, not a number")
+        if gamma != ledger.gamma:
+            raise ValueError(f"ledger gamma is {ledger.gamma!r}, entry has gamma {gamma!r}")
+        if orders != ledger.lambda_grid.values:
+            raise ValueError(f"ledger grid is {ledger.lambda_grid.values}, entry has {orders}")
+        ledger.append(query_id, q_bound, alphas)
+        for order, source, derived in zip(orders, sources, _sources(ledger.alphas[-1], bounds)):
+            if source != derived:
+                raise ValueError(f"source {source!r} at lambda {order} disagrees with its "
+                                 f"alpha, which gives {derived!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
-    return moment
+    return query_id
 
 
 def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
@@ -266,8 +238,7 @@ def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
         for order in grid:
             _check_type("lambda_grid", order, (int,), "an integer")
         _check_type("seed", seed, (int,), "an integer")
-        ledger = PrivacyLedger(gamma=float(gamma), lambda_grid=LambdaGrid(tuple(grid)),
-                               seed=seed)
+        ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid(tuple(grid)), seed=seed)
     except json.JSONDecodeError as exc:
         raise _fail(path, line_no, f"invalid JSON header: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -283,18 +254,15 @@ def read_ledger(path) -> PrivacyLedger:
         if not line:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
+        bounds = _independent_bounds(ledger)
         seen: dict[str, int] = {}
         for line_no, line in lines:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            moment = _parse_ledger_entry(path, line_no, obj)
-            _check_unique(path, line_no, moment.query_id, seen)
-            try:
-                ledger.append(moment)
-            except ValueError as exc:
-                raise _fail(path, line_no, str(exc)) from exc
+            query_id = _parse_ledger_entry(path, line_no, obj, ledger, bounds)
+            _check_unique(path, line_no, query_id, seen)
     return ledger
 
 

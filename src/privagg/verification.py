@@ -27,6 +27,8 @@ import numpy as np
 from .accountant import LambdaGrid, per_query_moment, q_upper_bound
 from .mechanism import VoteHistogram, plurality
 from .oracle import (
+    MAX_CLASSES,
+    MAX_TEACHERS,
     QUADRATURE_TOLERANCE,
     enumerate_neighbors,
     exact_moment,
@@ -107,12 +109,22 @@ def random_histogram(rng: np.random.Generator, max_classes: int = 5,
     return VoteHistogram(tuple(counts))
 
 
+def _check_sizes(max_classes: int, max_teachers: int) -> None:
+    """Refuse shapes ``random_histogram`` cannot draw or the oracle cannot check."""
+    if not 2 <= max_classes <= MAX_CLASSES:
+        raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes}")
+    if not max_classes <= max_teachers <= MAX_TEACHERS - 1:  # a neighbour adds a vote
+        raise ValueError(f"max_teachers must lie in [{max_classes}, {MAX_TEACHERS - 1}], "
+                         f"got {max_teachers}")
+
+
 def soundness_sweep(num_cases: int, seed: int = 0,
                     grid: LambdaGrid | None = None,
                     max_classes: int = 5, max_teachers: int = 50) -> VerificationReport:
     """Audit the q bound, the per-query moments, and pure DP on random cases."""
     if num_cases < 0:
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
+    _check_sizes(max_classes, max_teachers)
     grid = grid or LambdaGrid.default()
     rng = derive_rng(seed, VERIFY_CASES, 0)
     report = VerificationReport(cases=num_cases, mc_cases=0)
@@ -129,9 +141,9 @@ def soundness_sweep(num_cases: int, seed: int = 0,
         p_miss = 1.0 - dist.probs[plurality(hist)]
         miss.record(p_miss, q_upper_bound(hist, gamma), QUADRATURE_TOLERANCE)
 
-        moment = per_query_moment(hist, gamma, grid)
+        _, alphas = per_query_moment(hist, gamma, grid)
         for pair in enumerate_neighbors(hist):
-            for order, alpha in zip(moment.orders, moment.alphas):
+            for order, alpha in zip(grid.values, alphas):
                 moments.record(exact_moment(pair, gamma, order), alpha,
                                QUADRATURE_TOLERANCE)
             pure_dp.record(empirical_eps(pair, gamma), 2.0 * gamma, PURE_DP_TOLERANCE)
@@ -151,6 +163,7 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_sizes(max_classes, max_teachers)
     rng = derive_rng(seed, VERIFY_CASES, 1)
     report = VerificationReport(cases=0, mc_cases=num_cases)
     agreement = report.stats.setdefault("mc_agreement", CheckStats())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +8,7 @@ from privagg import (
     GuaranteeMethod,
     MechanismParams,
     LambdaGrid,
-    MomentSource,
     PrivacyLedger,
-    QueryMoment,
     VoteHistogram,
     book,
     compose,
@@ -23,6 +22,7 @@ from privagg import (
     q_upper_bound,
     strong_composition_eps,
 )
+from privagg.formats import FileFormatError, read_ledger, write_ledger
 from conftest import histograms
 
 GRID = LambdaGrid.default()
@@ -36,6 +36,15 @@ class TestLambdaGrid:
     def test_invalid(self, values):
         with pytest.raises(ValueError):
             LambdaGrid(values)
+
+    @pytest.mark.parametrize("values", [(1.5, 2), ("1", "3"), (True, 2), (1, 2.0)])
+    def test_orders_must_be_integers(self, values):
+        with pytest.raises(ValueError, match="must be integers"):
+            LambdaGrid(values)
+
+    def test_numpy_integers_become_ints(self):
+        grid = LambdaGrid((np.int64(1), np.int32(3)))
+        assert grid.values == (1, 3) and all(type(v) is int for v in grid.values)
 
 
 class TestDataIndependentMoment:
@@ -211,63 +220,89 @@ class TestThm3Monotonicity:
 class TestPerQueryMoment:
     def test_strong_quorum_uses_data_dependent(self):
         hist = VoteHistogram(tuple([250] + [0] * 9))
-        moment = per_query_moment(hist, 0.05, GRID, query_id="q")
+        q_bound, alphas = per_query_moment(hist, 0.05, GRID)
         # q bound by hand: 9 * (2 + 12.5) / (4 * e^12.5)
-        assert moment.q_bound == pytest.approx(
+        assert q_bound == pytest.approx(
             9 * (2 + 12.5) / (4 * math.exp(12.5)), rel=1e-12)
-        assert moment.sources[0] is MomentSource.DATA_DEPENDENT
-        assert moment.alphas[0] < 0.005  # data-independent would be 0.01
+        assert alphas[0] == data_dependent_moment(q_bound, 0.05, 1)
+        assert alphas[0] < 0.005  # data-independent would be 0.01
 
     def test_flat_histogram_falls_back(self):
-        moment = per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)
-        assert moment.q_bound == 0.5
-        assert all(s is MomentSource.DATA_INDEPENDENT for s in moment.sources)
+        q_bound, alphas = per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)
+        assert q_bound == 0.5
         assert all(alpha == data_independent_moment(0.05, order)
-                   for order, alpha in zip(moment.orders, moment.alphas))
+                   for order, alpha in zip(GRID.values, alphas))
 
     @given(gamma=st.floats(min_value=1e-150, max_value=100.0), lambda_max=st.integers(1, 300))
     def test_fallback_equals_data_independent_moment(self, gamma, lambda_max):
-        moment = per_query_moment(VoteHistogram((10, 10, 10)), gamma, LambdaGrid.up_to(lambda_max))
-        assert moment.alphas == tuple(data_independent_moment(gamma, order)
-                                      for order in moment.orders)
+        grid = LambdaGrid.up_to(lambda_max)
+        _, alphas = per_query_moment(VoteHistogram((10, 10, 10)), gamma, grid)
+        assert alphas == tuple(data_independent_moment(gamma, order) for order in grid.values)
 
     @given(hist=histograms(), gamma=st.floats(min_value=0.01, max_value=1.0))
     def test_never_exceeds_data_independent_bound(self, hist, gamma):
-        moment = per_query_moment(hist, gamma, GRID)
-        for order, alpha in zip(moment.orders, moment.alphas):
+        _, alphas = per_query_moment(hist, gamma, GRID)
+        for order, alpha in zip(GRID.values, alphas):
             assert alpha <= data_independent_moment(gamma, order)
             assert alpha >= 0.0
 
 
 class TestQueryMoment:
+    """The checks ``PrivacyLedger.append`` makes on one booked query."""
+
     def make(self, **changes):
-        fields = dict(query_id="q", gamma=0.05, q_bound=0.5, orders=(1, 2),
-                      alphas=(0.01, 0.03), sources=(MomentSource.DATA_INDEPENDENT,) * 2)
+        fields = dict(query_id="q", q_bound=0.5, orders=(1, 2), alphas=(0.01, 0.03))
         fields.update(changes)
-        return QueryMoment(**fields)
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid(fields.pop("orders")))
+        ledger.append(**fields)
+        return ledger
 
     def test_valid(self):
-        assert self.make().alphas == (0.01, 0.03)
+        assert self.make().alphas == [(0.01, 0.03)]
 
     @pytest.mark.parametrize("changes", [
         dict(orders=(0, 1)),
         dict(alphas=(0.01, -1e-3)),
         dict(alphas=(math.nan, 0.03)),
         dict(q_bound=1.5),
-        dict(orders=(), alphas=(), sources=()),
+        dict(alphas=()),
         dict(alphas=(0.01,)),
-        dict(sources=(MomentSource.DATA_INDEPENDENT,) * 3),
+        dict(alphas=(0.01, 0.03, 0.05)),
+        dict(alphas=(True, 0.03)),
+        dict(q_bound=False),
+        dict(alphas=("0.01", 0.03)),
+        dict(q_bound="0.5"),
+        dict(query_id=1),
+        dict(alphas=(0.01, math.inf)),
+        dict(alphas=(-math.inf, 0.03)),
+        dict(q_bound=math.inf),
+        dict(q_bound=-0.5),
     ])
     def test_invalid(self, changes):
         with pytest.raises(ValueError):
             self.make(**changes)
 
+    def test_numbers_are_stored_as_floats(self):
+        ledger = self.make(q_bound=np.float64(0.25), alphas=(0, np.float64(0.5)))
+        assert ledger.q_bounds == [0.25] and ledger.alphas == [(0.0, 0.5)]
+        assert {type(ledger.q_bounds[0]), *map(type, ledger.alphas[0])} == {float}
+
+    @pytest.mark.parametrize("gamma", [True, "0.05", math.nan, math.inf, 0.0, -0.05])
+    def test_invalid_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            PrivacyLedger(gamma=gamma, lambda_grid=GRID)
+
+    def test_gamma_stored_as_float(self):
+        ledger = PrivacyLedger(gamma=np.float64(0.05), lambda_grid=GRID)
+        assert type(ledger.gamma) is float and ledger.gamma == 0.05
+        assert type(PrivacyLedger(gamma=1, lambda_grid=GRID).gamma) is float
+
 
 def _uniform_ledger(num_queries, gamma=0.05, hist=VoteHistogram((10, 10))):
     ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
-    moment = per_query_moment(hist, gamma, GRID)
+    q_bound, alphas = per_query_moment(hist, gamma, GRID)
     for i in range(num_queries):
-        ledger.append(moment)
+        ledger.append(f"q{i}", q_bound, alphas)
     return ledger
 
 
@@ -285,24 +320,39 @@ class TestCompose:
         a = _uniform_ledger(30)
         b = _uniform_ledger(12, hist=VoteHistogram((40, 3)))
         combined = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        for moment in list(a) + list(b):
-            combined.append(moment)
+        for ledger in (a, b):
+            for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
+                combined.append(*entry)
         totals_a, totals_b, totals = compose(a), compose(b), compose(combined)
         for order in GRID.values:
             assert totals[order] == pytest.approx(
                 totals_a[order] + totals_b[order], rel=1e-12)
 
+    def test_adds_left_to_right(self):
+        # fsum, numpy's pairwise sum and the compensated sum() of Python >= 3.12
+        # all give 1e16 + 2 here; each += rounds the 1.0 away.
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid((1,)))
+        for i, alpha in enumerate([1e16, 1.0, 1.0]):
+            ledger.append(f"q{i}", 0.5, (alpha,))
+        assert compose(ledger) == {1: 1e16}
+
     def test_mismatched_grid_rejected(self):
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        other = per_query_moment(VoteHistogram((10, 10)), 0.05, LambdaGrid.up_to(4))
+        q_bound, alphas = per_query_moment(VoteHistogram((10, 10)), 0.05, LambdaGrid.up_to(4))
         with pytest.raises(ValueError, match="grid"):
-            ledger.append(other)
+            ledger.append("q", q_bound, alphas)
+        assert len(ledger) == 0
 
-    def test_mismatched_gamma_rejected(self):
-        ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        other = per_query_moment(VoteHistogram((10, 10)), 0.1, GRID)
-        with pytest.raises(ValueError, match="gamma"):
-            ledger.append(other)
+    def test_mismatched_gamma_rejected(self, tmp_path):
+        # Only a ledger file holds a gamma per entry; the reader checks it.
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(path, _uniform_ledger(3))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"gamma":0.05', '"gamma":0.1')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=":3: .*ledger gamma is 0.05, entry has "
+                                                  "gamma 0.1"):
+            read_ledger(path)
 
 
 class TestBook:
@@ -310,8 +360,9 @@ class TestBook:
         hists = [VoteHistogram((10, 10)), VoteHistogram((40, 3)), VoteHistogram((0, 7, 1))]
         ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05, seed=3), GRID)
         assert (ledger.gamma, ledger.lambda_grid, ledger.seed) == (0.05, GRID, 3)
-        assert list(ledger) == [per_query_moment(h, 0.05, GRID, query_id=q)
-                                for h, q in zip(hists, "abc")]
+        assert ledger.query_ids == ["a", "b", "c"]
+        assert list(zip(ledger.q_bounds, ledger.alphas)) == [
+            per_query_moment(h, 0.05, GRID) for h in hists]
 
     def test_ids_must_pair_with_histograms(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privagg import LambdaGrid, MomentSource, PrivacyLedger, QueryMoment, q_threshold
+from privagg import LambdaGrid, PrivacyLedger, data_independent_moment, q_threshold
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
 from privagg.formats import (
@@ -92,7 +96,7 @@ class TestLedgerRoundTrip:
         loaded = read_ledger(path)
         assert loaded.gamma == ledger.gamma
         assert loaded.lambda_grid == ledger.lambda_grid
-        assert list(loaded) == list(ledger)
+        assert loaded == ledger
 
     def test_corrupted_entry_names_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -126,6 +130,53 @@ class TestLedgerRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match=":2.*query_id"):
             read_ledger(path)
+
+
+class TestColumnarLedger:
+    """A v1 ledger is read into columns and written back from them alone."""
+
+    def test_fixture_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(path, read_ledger(DATA / "expected_ledger.jsonl"))
+        assert path.read_bytes() == (DATA / "expected_ledger.jsonl").read_bytes()
+
+    def test_sources_follow_from_alphas(self):
+        ledger = read_ledger(DATA / "expected_ledger.jsonl")
+        lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()[1:]
+        for line, alphas in zip(lines, ledger.alphas, strict=True):
+            for moment, alpha, order in zip(json.loads(line)["moments"], alphas, GRID.values):
+                dependent = alpha < data_independent_moment(0.05, order)
+                assert moment["source"] == ("DataDependent" if dependent else "DataIndependent")
+
+    @pytest.mark.parametrize("line_index, order, source", [
+        (1, 1, "DataIndependent"),
+        (4, 8, "DataDependent"),
+        (2, 4, "Unknown"),
+    ])
+    def test_source_disagreeing_with_alpha_rejected(self, tmp_path, line_index, order,
+                                                    source):
+        def swap(obj):
+            moment = obj["moments"][order - 1]
+            assert moment["lambda"] == order and moment["source"] != source
+            moment["source"] = source
+
+        path = edit_ledger_line(tmp_path / "ledger.jsonl", line_index, swap)
+        with pytest.raises(FileFormatError,
+                           match=rf":{line_index + 1}: malformed ledger entry: source "
+                                 rf"'{source}' at lambda {order} disagrees with its alpha"):
+            read_ledger(path)
+
+    def test_missing_source_rejected(self, tmp_path):
+        path = edit_ledger_line(tmp_path / "ledger.jsonl", 2,
+                                lambda obj: obj["moments"][5].pop("source"))
+        with pytest.raises(FileFormatError, match=":3: malformed ledger entry: 'source'"):
+            read_ledger(path)
+
+    def test_account_exits_one_on_a_swapped_source(self, tmp_path, capsys):
+        path = edit_ledger_line(tmp_path / "ledger.jsonl", 1,
+                                lambda obj: obj["moments"][0].update(source="DataIndependent"))
+        assert main(["account", str(path), "--delta", "1e-5"]) == 1
+        assert ":2: malformed ledger entry: source" in capsys.readouterr().err
 
 
 def edit_ledger_line(path: Path, line_index: int, edit) -> Path:
@@ -226,38 +277,63 @@ class TestLedgerHeaderTypes:
 
 query_ids = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é✓😀", "\u2028", "q0000001"])
-special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf, 1.0])
-alphas = st.floats(min_value=0.0) | special_floats | st.integers(0, 3)
+special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0])
+finite_floats = st.floats(min_value=0.0, allow_infinity=False)
+alphas = (finite_floats | special_floats | st.integers(0, 3)
+          | finite_floats.map(np.float64) | st.integers(0, 3).map(np.int64))
+
+
+def entry_obj(ledger: PrivacyLedger, index: int) -> dict:
+    """Entry ``index`` of ``ledger`` as the object a v1 line holds."""
+    moments = []
+    for order, alpha in zip(ledger.lambda_grid.values, ledger.alphas[index]):
+        bound = data_independent_moment(ledger.gamma, order)
+        moments.append({"lambda": order, "alpha": alpha,
+                        "source": "DataDependent" if alpha < bound else "DataIndependent"})
+    return {"query_id": ledger.query_ids[index], "gamma": ledger.gamma,
+            "q_bound": ledger.q_bounds[index], "moments": moments}
+
+
+def encoded_entries(ledger: PrivacyLedger) -> list[str]:
+    bounds = formats._independent_bounds(ledger)
+    return [formats._encode_entry(ledger, bounds, *entry)
+            for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas)]
 
 
 @st.composite
-def query_moments(draw):
-    k = draw(st.integers(min_value=1, max_value=9))
-    orders = draw(st.lists(st.integers(1, 2**70) | st.just(True), min_size=k, max_size=k))
-    return QueryMoment(
-        query_id=draw(query_ids),
-        gamma=draw(st.floats() | special_floats | st.integers(1, 3)),
-        q_bound=draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0, 1])),
-        orders=tuple(orders),
-        alphas=tuple(draw(st.lists(alphas, min_size=k, max_size=k))),
-        sources=tuple(draw(st.lists(st.sampled_from(MomentSource), min_size=k, max_size=k))))
+def ledgers(draw):
+    grid = LambdaGrid(tuple(sorted(draw(st.sets(st.integers(1, 2**40), min_size=1,
+                                                  max_size=9)))))
+    gamma = draw(st.floats(min_value=1e-3, max_value=3.0)
+                 | st.floats(min_value=1e-3, max_value=3.0).map(np.float64)
+                 | st.integers(1, 3) | st.sampled_from([1e-300, 1e100, 0.1 + 0.2]))
+    ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64)))
+    for query_id in draw(st.lists(query_ids, max_size=4, unique=True)):
+        ledger.append(query_id, draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0])),
+                      draw(st.lists(alphas, min_size=len(grid.values),
+                                    max_size=len(grid.values))))
+    return ledger
 
 
 class TestEncoders:
     """The template writers emit exactly the bytes of ``json.dumps``."""
 
-    @given(moment=query_moments())
-    def test_entry_matches_json_dumps(self, moment):
-        assert formats._encode_entry(moment) == formats._dump(formats._moment_to_obj(moment))
+    @given(ledger=ledgers())
+    def test_entry_matches_json_dumps(self, ledger):
+        assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
+                                           for i in range(len(ledger))]
 
     @pytest.mark.parametrize("alpha", [-0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf])
     @pytest.mark.parametrize("q_bound", [0.0, 1.0])
     def test_entry_edge_values(self, alpha, q_bound):
-        moment = QueryMoment(query_id='q"\\\n\x01é', gamma=0.05, q_bound=q_bound,
-                             orders=(1, 2), alphas=(alpha, 0.25),
-                             sources=(MomentSource.DATA_DEPENDENT,
-                                      MomentSource.DATA_INDEPENDENT))
-        assert formats._encode_entry(moment) == formats._dump(formats._moment_to_obj(moment))
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid((1, 2)))
+        if alpha == math.inf:
+            # json writes Infinity where repr writes inf; no ledger holds it.
+            with pytest.raises(ValueError, match="finite"):
+                ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
+            return
+        ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
+        assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, 0))]
 
     @given(query_id=query_ids,
            label=st.integers() | st.booleans() | st.floats(allow_nan=False) | st.none())
@@ -266,27 +342,29 @@ class TestEncoders:
             {"query_id": query_id, "label": label})
 
     @settings(max_examples=50, deadline=None)
-    @given(gamma=st.floats(min_value=1e-3, max_value=3.0), lambda_max=st.integers(1, 10),
-           rows=st.lists(st.tuples(query_ids, st.floats(0.0, 1.0),
-                                   st.lists(alphas, min_size=10, max_size=10),
-                                   st.lists(st.sampled_from(MomentSource), min_size=10,
-                                            max_size=10)),
-                         max_size=5, unique_by=lambda row: row[0]))
-    def test_ledger_round_trip(self, tmp_path_factory, gamma, lambda_max, rows):
-        grid = LambdaGrid.up_to(lambda_max)
-        ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=3)
-        for query_id, q_bound, alpha_list, source_list in rows:
-            ledger.append(QueryMoment(query_id=query_id, gamma=gamma, q_bound=q_bound,
-                                      orders=grid.values, alphas=tuple(alpha_list[:lambda_max]),
-                                      sources=tuple(source_list[:lambda_max])))
+    @given(ledger=ledgers())
+    def test_ledger_round_trip(self, tmp_path_factory, ledger):
         path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
         write_ledger(path, ledger)
         loaded = read_ledger(path)
-        assert (loaded.gamma, loaded.lambda_grid, loaded.seed) == (gamma, grid, 3)
-        assert list(loaded) == list(ledger)
+        assert loaded == ledger
         written = path.read_bytes()
         write_ledger(path, loaded)
         assert path.read_bytes() == written
+
+
+class TestImportCost:
+    def test_cli_imports_no_heavy_modules(self):
+        # scipy, numpy.polynomial, hypothesis and mpmath would each add to
+        # every CLI command's start-up time and resident memory.
+        code = ("import sys, privagg.cli; print(sorted(m for m in ('scipy', "
+                "'numpy.polynomial', 'hypothesis', 'mpmath') if m in sys.modules))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestAtomicWrite:
@@ -298,11 +376,11 @@ class TestAtomicWrite:
         encode = formats._encode_entry
         calls = []
 
-        def fail_on_second_entry(moment):
-            calls.append(moment)
+        def fail_on_second_entry(*args):
+            calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("disk gone")
-            return encode(moment)
+            return encode(*args)
 
         monkeypatch.setattr(formats, "_encode_entry", fail_on_second_entry)
         with pytest.raises(RuntimeError, match="disk gone"):
@@ -328,16 +406,17 @@ class TestAggregate:
         labels, ledger = aggregate_votes(records, 0.05, 0, GRID)
         assert [label for _, label in labels] == [0, 1, 2]
         assert len(ledger) == 3
-        for moment in ledger:
-            assert moment.q_bound < q_threshold(0.05)
-            assert all(s is MomentSource.DATA_DEPENDENT for s in moment.sources)
+        for q_bound, alphas in zip(ledger.q_bounds, ledger.alphas):
+            assert q_bound < q_threshold(0.05)
+            assert all(alpha < data_independent_moment(0.05, order)
+                       for order, alpha in zip(GRID.values, alphas))
 
     def test_deterministic_in_seed(self):
         records = read_votes(DATA / "votes_100.jsonl")
         a_labels, a_ledger = aggregate_votes(records, 0.05, 7, GRID)
         b_labels, b_ledger = aggregate_votes(records, 0.05, 7, GRID)
         assert a_labels == b_labels
-        assert list(a_ledger) == list(b_ledger)
+        assert a_ledger == b_ledger
         c_labels, _ = aggregate_votes(records, 0.05, 8, GRID)
         assert c_labels != a_labels
 

@@ -22,7 +22,7 @@ from privagg import (
     q_upper_bound,
 )
 from privagg import oracle
-from privagg.verification import random_histogram
+from privagg.verification import mc_crosscheck, random_histogram, soundness_sweep
 from conftest import histograms
 
 # Shapes where small probabilities, wide gaps, narrow margins or many
@@ -465,3 +465,31 @@ class TestEmpiricalEps:
         values = [empirical_eps(pair, g) for g in (0.05, 0.1, 0.3, 0.6, 1.0)]
         for lo, hi in zip(values, values[1:]):
             assert hi > lo
+
+
+class TestSweepSizeGuards:
+    """Sweep shapes are checked before any case is drawn."""
+
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(max_classes=1), r"max_classes must lie in \[2, 16\], got 1"),
+        (dict(max_classes=17), r"max_classes must lie in \[2, 16\], got 17"),
+        # The n + 1 neighbour of an n = 10000 histogram is past the oracle's guard.
+        (dict(max_teachers=10_000), r"max_teachers must lie in \[5, 9999\], got 10000"),
+        # random_histogram draws flat histograms of max_teachers // m votes a class.
+        (dict(max_classes=10, max_teachers=5),
+         r"max_teachers must lie in \[10, 9999\], got 5"),
+    ])
+    @pytest.mark.parametrize("sweep", [
+        lambda **sizes: soundness_sweep(0, **sizes),
+        lambda **sizes: mc_crosscheck(0, 10, **sizes),
+    ], ids=["soundness_sweep", "mc_crosscheck"])
+    def test_out_of_range_rejected(self, sweep, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            sweep(**sizes)
+
+    @pytest.mark.parametrize("max_classes, max_teachers", [(2, 2), (16, 16), (5, 700)])
+    def test_sizes_in_range_run(self, max_classes, max_teachers):
+        report = soundness_sweep(5, seed=1, max_classes=max_classes, max_teachers=max_teachers)
+        assert report.failures == 0 and report.stats["moment_bound"].checks > 0
+        mc = mc_crosscheck(2, 100, seed=1, max_classes=max_classes, max_teachers=max_teachers)
+        assert mc.stats["mc_agreement"].checks > 0
