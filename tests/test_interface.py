@@ -140,14 +140,6 @@ class TestColumnarLedger:
         write_ledger(path, read_ledger(DATA / "expected_ledger.jsonl"))
         assert path.read_bytes() == (DATA / "expected_ledger.jsonl").read_bytes()
 
-    def test_sources_follow_from_alphas(self):
-        ledger = read_ledger(DATA / "expected_ledger.jsonl")
-        lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()[1:]
-        for line, alphas in zip(lines, ledger.alphas, strict=True):
-            for moment, alpha, order in zip(json.loads(line)["moments"], alphas, GRID.values):
-                dependent = alpha < data_independent_moment(0.05, order)
-                assert moment["source"] == ("DataDependent" if dependent else "DataIndependent")
-
     @pytest.mark.parametrize("line_index, order, source", [
         (1, 1, "DataIndependent"),
         (4, 8, "DataDependent"),
