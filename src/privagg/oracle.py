@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,8 +37,25 @@ MAX_TEACHERS = 10_000
 # far below the quadrature tolerance.
 _TAIL_SCALE_UNITS = 40.0
 
-# Gauss–Legendre nodes per quadrature piece.
-_GL_ORDER = 16
+# The 16-node Gauss–Legendre rule on [0, 1]: exact float copies of the
+# nodes x and weights w that numpy's Legendre module computes on [-1, 1],
+# mapped by (x + 1) / 2 and w / 2.  A fixed table spares the first
+# quadrature that module's import and eigenvalue solve, and keeps the
+# nodes independent of the linear algebra library that would solve for them.
+_GL_NODES = np.array([
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412,
+    0.1222977958224985, 0.19106187779867811, 0.2709916111713863,
+    0.35919822461037054, 0.4524937450811813, 0.5475062549188188,
+    0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163,
+    0.994700467495825])
+_GL_WEIGHTS = np.array([
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463,
+    0.062314485627767036, 0.07479799440828835, 0.08457825969750132,
+    0.09130170752246182, 0.09472530522753432, 0.09472530522753432,
+    0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728,
+    0.013576229705877088])
 
 # Slack for comparing quadrature output with analytic bounds, some of which
 # are exactly tight (flat two-class histograms meet the q bound).  Measured
@@ -53,6 +72,8 @@ QUADRATURE_TOLERANCE = 1e-9
 
 _MC_CHUNK = 200_000
 
+_NEG_INF = -math.inf
+
 
 class UnsupportedSizeError(ValueError):
     """Histogram too large for the desk-scale quadrature oracle."""
@@ -67,16 +88,22 @@ class OutcomeDistribution:
     log_probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        log, probs, logs = math.log, [], []
         for j, p in enumerate(self.probs):
             if not -1e-12 <= p <= 1.0 + 1e-12:
                 raise ValueError(f"probability for class {j} outside [0, 1]: {p!r}")
+            if p > 0.0:
+                p = float(p)
+                probs.append(p)
+                logs.append(log(p))
+            else:
+                probs.append(0.0)
+                logs.append(_NEG_INF)
         total = sum(self.probs)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-        probs = tuple(max(0.0, float(p)) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_probs",
-                           tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
+        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "log_probs", tuple(logs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,15 +140,6 @@ def _check_size(counts: tuple[int, ...]) -> None:
             f"quadrature oracle supports n <= {MAX_TEACHERS}, got {sum(counts)}")
 
 
-@functools.cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss–Legendre rule of ``order`` on [0, 1]."""
-    # Imported here: ``import numpy`` does not load numpy.polynomial.
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 @functools.lru_cache(maxsize=4096)
 def _outcome_distribution(counts: tuple[int, ...], gamma: float) -> OutcomeDistribution:
     """Validated outcome distribution, memoised: a sweep asks for each
@@ -132,26 +150,32 @@ def _outcome_distribution(counts: tuple[int, ...], gamma: float) -> OutcomeDistr
 
 def _outcome_probs(counts: tuple[int, ...], gamma: float) -> tuple[float, ...]:
     """Win probability of every class, by the 16-node graded quadrature of
-    ``_graded_quadrature``, run once per sorted histogram.
+    ``_graded_quadrature``, run once per sorted histogram up to a shift.
 
     Ties have probability 0 under continuous noise, so the probabilities
     are permutation-equivariant and depend on a class only through its
     count: permuted histograms, and neighbours that differ only in which
-    class holds a count, share one cached quadrature.  Not size-guarded.
+    class holds a count, share one cached quadrature.  The quadrature reads
+    only differences of counts, so histograms that differ by the same
+    amount in every class share it too.  Not size-guarded.
     """
-    kinks = sorted(set(counts))
-    by_count = dict(zip(kinks, _sorted_outcome_probs(tuple(sorted(counts)), gamma)))
-    return tuple(by_count[c] for c in counts)
+    ranked = sorted(counts)
+    low = ranked[0]
+    probs = _sorted_outcome_probs(tuple([c - low for c in ranked]), gamma)
+    return tuple([probs[c - low] for c in counts])
 
 
 @functools.lru_cache(maxsize=4096)
-def _sorted_outcome_probs(counts: tuple[int, ...], gamma: float) -> tuple[float, ...]:
-    """Win probability of a class at each distinct count of sorted ``counts``."""
-    kinks = sorted(set(counts))
-    return tuple(_graded_quadrature(kinks, [counts.count(k) for k in kinks], gamma))
+def _sorted_outcome_probs(gaps: tuple[int, ...], gamma: float) -> Mapping[int, float]:
+    """Win probability of a class at each distinct count of ``gaps``, the
+    sorted counts minus their minimum, keyed by that count (read-only, as
+    every caller shares it)."""
+    kinks = sorted(set(gaps))
+    probs = _graded_quadrature(kinks, [gaps.count(k) for k in kinks], gamma)
+    return MappingProxyType(dict(zip(kinks, probs)))
 
 
-def _graded_quadrature(kinks, reps, gamma: float, order: int = _GL_ORDER) -> list[float]:
+def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
     """Win probability of one class at each distinct count, by graded
     Gauss–Legendre quadrature.
 
@@ -176,52 +200,62 @@ def _graded_quadrature(kinks, reps, gamma: float, order: int = _GL_ORDER) -> lis
     tests/test_oracle.py, its largest relative difference per class from
     the 48-node rule is 3.8e-15.  Nodes are kept as offsets from their
     kink, so gamma * (t - n_k) keeps full relative precision at any count.
+    Only differences of counts enter, so shifting every count by the same
+    integer leaves every returned float unchanged.
 
-    All distinct counts are evaluated in one (d, N) array; the
-    leave-one-out CDF product comes from running prefix and suffix
-    products over them.
+    All distinct counts are evaluated in one (d, P, 16) array over the P
+    pieces; the leave-one-out CDF product comes from running prefix and
+    suffix products over them.
     """
     b = 1.0 / gamma
     tail = _TAIL_SCALE_UNITS * b
     halves = [(hi - lo) / 2.0 for lo, hi in zip(kinks, kinks[1:])]
-    # Pieces as (kink, signed start offset, signed width), graded outwards.
-    anchors, starts, widths = [], [], []
+    # One row per piece, graded outwards: its kink, its signed start offset
+    # and signed width from the kink, and gamma times its width.
+    rows = []
     for side, reaches in ((-1.0, [tail] + halves), (1.0, halves + [tail])):
         for kink, reach in zip(kinks, reaches):
             cut, end = 0.0, b
             while cut < reach:
-                end = min(end, reach)
-                anchors.append(kink)
-                starts.append(side * cut)
-                widths.append(side * (end - cut))
+                if reach < end:
+                    end = reach
+                rows += kink, side * cut, side * (end - cut), gamma * (end - cut)
                 cut, end = end, 2.0 * end
-    nodes, weights = _gauss_legendre(order)
-    width = np.array(widths)[:, None]
-    offset = (np.array(starts)[:, None] + width * nodes).ravel()
-    weight = (gamma * np.abs(width) * weights).ravel()
-    anchor = np.array(anchors, dtype=float).repeat(nodes.size)
+    piece = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
+    weight = (piece[:, 3:] * _GL_WEIGHTS).ravel()
+    gap = piece[:, 0] - np.array(kinks, dtype=float)[:, None]
 
     # z[k] = gamma * (t - n_k); half = pdf / gamma = exp(-|z|) / 2.
-    z = gamma * ((anchor - np.array(kinks, dtype=float)[:, None]) + offset)
-    half = 0.5 * np.exp(-np.abs(z))
-    cdf = np.where(z < 0.0, half, 1.0 - half)
+    z = gap[:, :, None] + (piece[:, 1:2] + piece[:, 2:3] * _GL_NODES)
+    z *= gamma
+    half = np.abs(z)
+    np.negative(half, out=half)
+    np.exp(half, out=half)
+    half *= 0.5
+    cdf = 1.0 - half
+    np.copyto(cdf, half, where=z < 0.0)
     # A count held by r classes enters every other class's product as
     # cdf^r and its own class's as cdf^(r - 1).
     own = [(k, cdf[k] ** (r - 1)) for k, r in enumerate(reps) if r > 1]
     for k, power in own:
         cdf[k] *= power
+    d = len(kinks)
     others = np.empty_like(cdf)
-    others[0] = 1.0
-    for k in range(1, len(kinks)):
-        np.multiply(others[k - 1], cdf[k - 1], out=others[k])
-    suffix = np.ones_like(offset)
-    for k in range(len(kinks) - 1, 0, -1):
-        suffix *= cdf[k]
-        others[k - 1] *= suffix
+    if d == 1:
+        others[0] = 1.0
+    else:
+        others[1] = cdf[0]
+        for k in range(2, d):
+            np.multiply(others[k - 1], cdf[k - 1], out=others[k])
+        suffix = cdf[-1]
+        for k in range(d - 2, 0, -1):
+            others[k] *= suffix
+            suffix = suffix * cdf[k]
+        others[0] = suffix
     for k, power in own:
         others[k] *= power
     others *= half
-    probs = others @ weight
+    probs = others.reshape(d, -1) @ weight
     return [max(0.0, p) for p in probs.tolist()]
 
 
@@ -324,11 +358,19 @@ def exact_moment(pair: AdjacentPair, gamma: float, order: int) -> float:
         raise ValueError(f"order must be >= 1, got {order}")
     p = outcome_distribution(pair.d, gamma).log_probs
     q = outcome_distribution(pair.d_prime, gamma).log_probs
-    terms = [(order + 1) * lp - order * lq for lp, lq in zip(p, q) if lp != -math.inf]
+    # Plain loops: a comprehension here would be a closure over order and
+    # peak, which costs more per call than the loop it replaces.
+    up, terms = order + 1, []
+    for lp, lq in zip(p, q):
+        if lp != _NEG_INF:
+            terms.append(up * lp - order * lq)
     peak = max(terms)
     if peak == math.inf:
         return math.inf
-    return peak + math.log(sum([math.exp(t - peak) for t in terms]))
+    exp, scaled = math.exp, []
+    for t in terms:
+        scaled.append(exp(t - peak))
+    return peak + math.log(sum(scaled))
 
 
 def empirical_eps(pair: AdjacentPair, gamma: float) -> float:

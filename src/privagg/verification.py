@@ -20,6 +20,7 @@ rare outcomes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ from .seeding import derive_rng, ORACLE_MC, VERIFY_CASES
 
 PURE_DP_TOLERANCE = 1e-6
 GAMMA_RANGE = (0.01, 1.0)
+# The q bound needs e^(gamma * deficit) as a float, and a deficit can be
+# as large as the vote total, so this is the largest total whose q bound is
+# defined at every gamma the sweep draws: floor(709.78 / 1.0) = 709.
+SWEEP_MAX_TEACHERS = math.floor(math.log(sys.float_info.max) / GAMMA_RANGE[1])
 
 
 @dataclass
@@ -51,7 +56,8 @@ class CheckStats:
     def record(self, value: float, bound: float, tolerance: float) -> None:
         self.checks += 1
         violation = value - bound
-        self.max_violation = max(self.max_violation, violation)
+        if violation > self.max_violation:
+            self.max_violation = violation
         if violation > tolerance:
             self.failures += 1
 
@@ -125,6 +131,10 @@ def soundness_sweep(num_cases: int, seed: int = 0,
     if num_cases < 0:
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
     _check_sizes(max_classes, max_teachers)
+    if max_teachers > SWEEP_MAX_TEACHERS:
+        raise ValueError(f"soundness_sweep supports max_teachers <= {SWEEP_MAX_TEACHERS}, "
+                         f"where the q bound is defined at every gamma up to "
+                         f"{GAMMA_RANGE[1]}; got {max_teachers}")
     grid = grid or LambdaGrid.default()
     rng = derive_rng(seed, VERIFY_CASES, 0)
     report = VerificationReport(cases=num_cases, mc_cases=0)
@@ -185,7 +195,12 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
 def run_verification(num_cases: int = 1000, trials: int = 100_000,
                      mc_cases: int = 100, seed: int = 0,
                      grid: LambdaGrid | None = None) -> VerificationReport:
-    """Full verification: soundness sweep plus (if trials > 0) MC cross-check."""
+    """Full verification: soundness sweep plus (if trials > 0 and
+    mc_cases > 0) MC cross-check."""
+    for name, value in (("trials", trials), ("mc_cases", mc_cases)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0 (0 skips the Monte Carlo "
+                             f"cross-check), got {value}")
     report = soundness_sweep(num_cases, seed=seed, grid=grid)
     if trials > 0 and mc_cases > 0:
         mc_report = mc_crosscheck(mc_cases, trials, seed=seed)

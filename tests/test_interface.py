@@ -348,15 +348,20 @@ class TestEncoders:
 class TestImportCost:
     def test_cli_imports_no_heavy_modules(self):
         # scipy, numpy.polynomial, hypothesis and mpmath would each add to
-        # every CLI command's start-up time and resident memory.
-        code = ("import sys, privagg.cli; print(sorted(m for m in ('scipy', "
-                "'numpy.polynomial', 'hypothesis', 'mpmath') if m in sys.modules))")
+        # every CLI command's start-up time and resident memory; the oracle
+        # must not load one on its first quadrature either.
+        code = ("import sys, privagg.cli\n"
+                "heavy = lambda: sorted(m for m in ('scipy', 'numpy.polynomial', "
+                "'hypothesis', 'mpmath') if m in sys.modules)\n"
+                "print(heavy())\n"
+                "privagg.outcome_distribution(privagg.VoteHistogram((3, 1)), 0.5)\n"
+                "print(heavy())")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "[]\n"
+        assert out == "[]\n[]\n"
 
 
 class TestAtomicWrite:
@@ -580,6 +585,16 @@ class TestCliVerify:
         for seed in range(4):
             assert main(["verify", "--cases", "5", "--trials", "0",
                          "--seed", str(seed)]) == 0
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--trials", "-1", "--mc-cases", "3"], "trials"),
+        (["--mc-cases", "-3"], "mc_cases"),
+    ])
+    def test_negative_monte_carlo_settings_exit_one(self, capsys, argv, name):
+        # Negative values once skipped the cross-check silently, like 0.
+        assert main(["verify", "--cases", "1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be >= 0"), err
 
     def test_mc_crosscheck_survives_unanimous_histogram(self, capsys):
         # MC case 7 of this seed is a unanimous 3-class histogram at gamma

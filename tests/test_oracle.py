@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from privagg import (
@@ -65,6 +65,64 @@ def quad_probs(counts, gamma):
     return probs
 
 
+def reference_quadrature(kinks, reps, gamma, order=16):
+    """``oracle._graded_quadrature`` as it was before its fixed node table
+    and leaner array layout, kept as the bit-for-bit reference.
+
+    It solves for the nodes of any ``order`` with ``leggauss`` and lays
+    out all d distinct counts as one (d, N) array over N = order * P nodes.
+    """
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(order)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    b = 1.0 / gamma
+    tail = oracle._TAIL_SCALE_UNITS * b
+    halves = [(hi - lo) / 2.0 for lo, hi in zip(kinks, kinks[1:])]
+    anchors, starts, widths = [], [], []
+    for side, reaches in ((-1.0, [tail] + halves), (1.0, halves + [tail])):
+        for kink, reach in zip(kinks, reaches):
+            cut, end = 0.0, b
+            while cut < reach:
+                end = min(end, reach)
+                anchors.append(kink)
+                starts.append(side * cut)
+                widths.append(side * (end - cut))
+                cut, end = end, 2.0 * end
+    width = np.array(widths)[:, None]
+    offset = (np.array(starts)[:, None] + width * nodes).ravel()
+    weight = (gamma * np.abs(width) * weights).ravel()
+    anchor = np.array(anchors, dtype=float).repeat(nodes.size)
+
+    z = gamma * ((anchor - np.array(kinks, dtype=float)[:, None]) + offset)
+    half = 0.5 * np.exp(-np.abs(z))
+    cdf = np.where(z < 0.0, half, 1.0 - half)
+    own = [(k, cdf[k] ** (r - 1)) for k, r in enumerate(reps) if r > 1]
+    for k, power in own:
+        cdf[k] *= power
+    others = np.empty_like(cdf)
+    others[0] = 1.0
+    for k in range(1, len(kinks)):
+        np.multiply(others[k - 1], cdf[k - 1], out=others[k])
+    suffix = np.ones_like(offset)
+    for k in range(len(kinks) - 1, 0, -1):
+        suffix *= cdf[k]
+        others[k - 1] *= suffix
+    for k, power in own:
+        others[k] *= power
+    others *= half
+    probs = others @ weight
+    return [max(0.0, p) for p in probs.tolist()]
+
+
+def reference_probs(counts, gamma):
+    """Per-class probabilities from ``reference_quadrature`` over the
+    distinct counts themselves, unshifted."""
+    kinks = sorted(set(counts))
+    values = reference_quadrature(kinks, [counts.count(k) for k in kinks], gamma)
+    by_count = dict(zip(kinks, values))
+    return tuple(by_count[c] for c in counts)
+
+
 def gl48_probs(counts, gamma):
     """Win probabilities by the 48-node rule the oracle used before 16.
 
@@ -73,8 +131,8 @@ def gl48_probs(counts, gamma):
     gap between them is 0) and no multiplicity shortcut applies.
     """
     order = sorted(range(len(counts)), key=counts.__getitem__)
-    values = oracle._graded_quadrature([counts[j] for j in order], [1] * len(counts),
-                                       gamma, order=48)
+    values = reference_quadrature([counts[j] for j in order], [1] * len(counts),
+                                  gamma, order=48)
     probs = [0.0] * len(counts)
     for j, p in zip(order, values):
         probs[j] = p
@@ -235,6 +293,49 @@ class TestOutcomeDistribution:
             outcome_distribution(VoteHistogram((1,) * 17), 0.1)
         with pytest.raises(UnsupportedSizeError):
             outcome_distribution(VoteHistogram((10_001, 1)), 0.1)
+
+
+@st.composite
+def wide_histograms(draw):
+    """Count vectors with 2 to 16 classes and 1 to 10^4 votes."""
+    m = draw(st.integers(min_value=2, max_value=oracle.MAX_CLASSES))
+    counts, left = [], oracle.MAX_TEACHERS
+    for _ in range(m):
+        counts.append(draw(st.integers(min_value=0, max_value=left)))
+        left -= counts[-1]
+    assume(sum(counts) > 0)
+    return tuple(draw(st.permutations(counts)))
+
+
+class TestQuadratureKernel:
+    """The kernel returns the reference kernel's floats, bit for bit."""
+
+    def test_node_table_is_leggauss_16_on_the_unit_interval(self):
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(16)
+        assert oracle._GL_NODES.tobytes() == ((x + 1.0) / 2.0).tobytes()
+        assert oracle._GL_WEIGHTS.tobytes() == (w / 2.0).tobytes()
+
+    @staticmethod
+    def assert_same_floats(counts, gamma):
+        kinks = sorted(set(counts))
+        reps = [counts.count(k) for k in kinks]
+        assert (oracle._graded_quadrature(kinks, reps, gamma)
+                == reference_quadrature(kinks, reps, gamma)), (counts, gamma)
+        assert oracle._outcome_probs(counts, gamma) == reference_probs(counts, gamma)
+
+    @given(counts=wide_histograms(), gamma=st.floats(min_value=0.01, max_value=2.0),
+           shift=st.integers(min_value=1, max_value=oracle.MAX_TEACHERS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_and_ignores_a_common_shift(self, counts, gamma, shift):
+        # The shifted histogram shares the cache entry of the first one, and
+        # the reference integrates it at its own, unshifted counts.
+        self.assert_same_floats(counts, gamma)
+        self.assert_same_floats(tuple(c + shift for c in counts), gamma)
+
+    @pytest.mark.parametrize("counts, gamma", EXTREME_SHAPES)
+    def test_matches_reference_on_extreme_shapes(self, counts, gamma):
+        self.assert_same_floats(counts, gamma)
 
 
 class TestAgainstMpmath:
@@ -486,6 +587,14 @@ class TestSweepSizeGuards:
     def test_out_of_range_rejected(self, sweep, sizes, message):
         with pytest.raises(ValueError, match=message):
             sweep(**sizes)
+
+    def test_soundness_sweep_stops_where_the_q_bound_is_defined(self):
+        # 9999 passes the oracle's guard, but at gamma near 1 a deficit of
+        # 710 or more overflows e^(gamma * deficit) in the q bound.
+        with pytest.raises(ValueError, match=r"soundness_sweep supports max_teachers "
+                                             r"<= 709.*got 9999"):
+            soundness_sweep(3, seed=1, max_classes=16, max_teachers=9999)
+        assert soundness_sweep(3, seed=1, max_classes=16, max_teachers=709).failures == 0
 
     @pytest.mark.parametrize("max_classes, max_teachers", [(2, 2), (16, 16), (5, 700)])
     def test_sizes_in_range_run(self, max_classes, max_teachers):
