@@ -5,6 +5,10 @@ per-class vote counts and releasing the argmax, tracks the privacy cost of
 every answered query through moment bounds on the privacy loss, and ships
 numerical oracles (exact quadrature, Monte Carlo) that verify each bound
 on small instances.
+
+numpy is imported by the functions that draw noise, sample votes or run
+quadrature, on their first call: importing the package, accounting a
+ledger and reporting on a guarantee do not load it.
 """
 
 from .accountant import (

@@ -171,6 +171,9 @@ def _cmd_verify(args) -> int:
     report = run_verification(num_cases=args.cases, trials=args.trials,
                               mc_cases=args.mc_cases, seed=args.seed,
                               grid=LambdaGrid.up_to(args.lambda_max))
+    if not any(s.checks for s in report.stats.values()):
+        raise ValueError("verify made no checks: --cases is 0 and the Monte Carlo "
+                         "cross-check is off (--trials or --mc-cases is 0)")
     obj = {"format_version": FORMAT_VERSION, "seed": args.seed,
            "lambda_grid": list(range(1, args.lambda_max + 1))}
     obj.update(report.to_dict())

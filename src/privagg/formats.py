@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -129,7 +128,7 @@ def _dump(obj) -> str:
 @contextmanager
 def _replacing(path):
     """Write to a temp file beside ``path``; move it over ``path`` only on success."""
-    tmp = Path(f"{path}.{secrets.token_hex(6)}.tmp")
+    tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             yield fh

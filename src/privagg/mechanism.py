@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .seeding import derive_rng, MECHANISM_NOISE
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Uniform draws below 2^-53 are snapped up to it before the inverse-CDF
 # transform; numpy's random() is [0, 1) and the transform needs (0, 1).
@@ -124,6 +126,7 @@ def _laplace_quantile(u, b: float):
     # b*log(2u) below 0.5 and -b*log(2(1-u)) from 0.5 up, bit for bit: min()
     # picks the operand each branch uses (1-u is exact there), and negating
     # the product equals multiplying by -b.
+    import numpy as np
     x = b * np.log(2.0 * np.minimum(u, 1.0 - u))
     np.negative(x, out=x, where=u >= 0.5)
     return x
@@ -143,6 +146,7 @@ def laplace_inverse_cdf(u: float, b: float) -> float:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
     if not b > 0.0:
         raise ValueError(f"scale b must be positive, got {b!r}")
+    import numpy as np
     return float(_laplace_quantile(np.array([u]), b)[0])
 
 
@@ -154,6 +158,7 @@ def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     representable uniform instead of rejected, so stream positions never
     depend on draw values.
     """
+    import numpy as np
     return _laplace_quantile(np.maximum(rng.random(size), _MIN_UNIFORM), b)
 
 
@@ -169,6 +174,7 @@ def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
     Ties after perturbation (possible only through finite precision) break
     toward the smallest class index.
     """
+    import numpy as np
     if rng is None:
         rng = derive_rng(params.seed, MECHANISM_NOISE, 0)
     noise = _draw_noise(rng, params.scale, hist.num_classes)

@@ -24,8 +24,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-import numpy as np
-
 from .mechanism import VoteHistogram, _draw_noise
 from .seeding import derive_rng, MECHANISM_NOISE
 
@@ -42,20 +40,20 @@ _TAIL_SCALE_UNITS = 40.0
 # mapped by (x + 1) / 2 and w / 2.  A fixed table spares the first
 # quadrature that module's import and eigenvalue solve, and keeps the
 # nodes independent of the linear algebra library that would solve for them.
-_GL_NODES = np.array([
+_GL_NODES = (
     0.005299532504175031, 0.0277124884633837, 0.06718439880608412,
     0.1222977958224985, 0.19106187779867811, 0.2709916111713863,
     0.35919822461037054, 0.4524937450811813, 0.5475062549188188,
     0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
     0.8777022041775016, 0.9328156011939159, 0.9722875115366163,
-    0.994700467495825])
-_GL_WEIGHTS = np.array([
+    0.994700467495825)
+_GL_WEIGHTS = (
     0.013576229705877088, 0.031126761969323728, 0.0475792558412463,
     0.062314485627767036, 0.07479799440828835, 0.08457825969750132,
     0.09130170752246182, 0.09472530522753432, 0.09472530522753432,
     0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
     0.062314485627767036, 0.0475792558412463, 0.031126761969323728,
-    0.013576229705877088])
+    0.013576229705877088)
 
 # Slack for comparing quadrature output with analytic bounds, some of which
 # are exactly tight (flat two-class histograms meet the q bound).  Measured
@@ -73,6 +71,13 @@ QUADRATURE_TOLERANCE = 1e-9
 _MC_CHUNK = 200_000
 
 _NEG_INF = -math.inf
+
+
+@functools.cache
+def _gl_arrays():
+    """``_GL_NODES`` and ``_GL_WEIGHTS`` as arrays, built on the first quadrature."""
+    import numpy as np
+    return np.array(_GL_NODES), np.array(_GL_WEIGHTS)
 
 
 class UnsupportedSizeError(ValueError):
@@ -207,6 +212,8 @@ def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
     pieces; the leave-one-out CDF product comes from running prefix and
     suffix products over them.
     """
+    import numpy as np
+    nodes, weights = _gl_arrays()
     b = 1.0 / gamma
     tail = _TAIL_SCALE_UNITS * b
     halves = [(hi - lo) / 2.0 for lo, hi in zip(kinks, kinks[1:])]
@@ -222,11 +229,11 @@ def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
                 rows += kink, side * cut, side * (end - cut), gamma * (end - cut)
                 cut, end = end, 2.0 * end
     piece = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
-    weight = (piece[:, 3:] * _GL_WEIGHTS).ravel()
+    weight = (piece[:, 3:] * weights).ravel()
     gap = piece[:, 0] - np.array(kinks, dtype=float)[:, None]
 
     # z[k] = gamma * (t - n_k); half = pdf / gamma = exp(-|z|) / 2.
-    z = gap[:, :, None] + (piece[:, 1:2] + piece[:, 2:3] * _GL_NODES)
+    z = gap[:, :, None] + (piece[:, 1:2] + piece[:, 2:3] * nodes)
     z *= gamma
     half = np.abs(z)
     np.negative(half, out=half)
@@ -284,6 +291,7 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    import numpy as np
     m = hist.num_classes
     counts_row = np.asarray(hist.counts, dtype=float)
     rng = derive_rng(seed, MECHANISM_NOISE, 0)

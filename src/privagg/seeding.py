@@ -21,7 +21,10 @@ Mechanism noise paths; batches are drawn only by ``mechanism.noisy_labels``:
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MECHANISM_NOISE = 0
 SYNTH_VOTES = 1
@@ -38,9 +41,11 @@ def mask64(seed: int) -> int:
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
+    import numpy as np
     return np.random.SeedSequence(mask64(master_seed), spawn_key=tuple(map(int, path)))
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream identified by (master_seed, *path)."""
+    import numpy as np
     return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *path)))

@@ -12,12 +12,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .accountant import LambdaGrid, PrivacyLedger, book
 from .mechanism import MechanismParams, VoteHistogram, gap, noisy_labels
 from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ErrorModel(enum.Enum):
@@ -111,6 +113,7 @@ def synth_query_votes(config: EnsembleConfig, true_label: int,
     """
     if not 0 <= true_label < config.m:
         raise ValueError(f"true_label out of range [0, {config.m}): {true_label}")
+    import numpy as np
     votes = np.full(config.n, true_label, dtype=np.int64)
     wrong = rng.random(config.n) >= config.teacher_accuracy
     num_wrong = int(np.count_nonzero(wrong))
@@ -151,6 +154,7 @@ def sweep_gamma(config: EnsembleConfig, gamma_grid) -> SweepResult:
         raise ValueError(f"gamma values must be positive, got {grid}")
     if config.queries < 1:
         raise ValueError("sweep needs at least one query")
+    import numpy as np
 
     labels, hists = _query_stream(config)
     gaps = [gap(h) for h in hists]

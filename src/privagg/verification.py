@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .accountant import LambdaGrid, per_query_moment, q_upper_bound
 from .mechanism import VoteHistogram, plurality
@@ -38,6 +37,9 @@ from .oracle import (
     outcome_distribution,
 )
 from .seeding import derive_rng, ORACLE_MC, VERIFY_CASES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PURE_DP_TOLERANCE = 1e-6
 GAMMA_RANGE = (0.01, 1.0)
@@ -110,17 +112,18 @@ def random_histogram(rng: np.random.Generator, max_classes: int = 5,
         counts = [c] * m
     else:
         n = int(rng.integers(1, max_teachers + 1))
-        probs = rng.dirichlet(np.ones(m))
+        probs = rng.dirichlet([1.0] * m)
         counts = rng.multinomial(n, probs).tolist()
     return VoteHistogram(tuple(counts))
 
 
-def _check_sizes(max_classes: int, max_teachers: int) -> None:
-    """Refuse shapes ``random_histogram`` cannot draw or the oracle cannot check."""
+def _check_sizes(max_classes: int, max_teachers: int, teacher_limit: int) -> None:
+    """Refuse shapes ``random_histogram`` cannot draw or the sweep cannot check;
+    ``teacher_limit`` is the sweep's own top for ``max_teachers``."""
     if not 2 <= max_classes <= MAX_CLASSES:
         raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes}")
-    if not max_classes <= max_teachers <= MAX_TEACHERS - 1:  # a neighbour adds a vote
-        raise ValueError(f"max_teachers must lie in [{max_classes}, {MAX_TEACHERS - 1}], "
+    if not max_classes <= max_teachers <= teacher_limit:
+        raise ValueError(f"max_teachers must lie in [{max_classes}, {teacher_limit}], "
                          f"got {max_teachers}")
 
 
@@ -130,11 +133,7 @@ def soundness_sweep(num_cases: int, seed: int = 0,
     """Audit the q bound, the per-query moments, and pure DP on random cases."""
     if num_cases < 0:
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
-    _check_sizes(max_classes, max_teachers)
-    if max_teachers > SWEEP_MAX_TEACHERS:
-        raise ValueError(f"soundness_sweep supports max_teachers <= {SWEEP_MAX_TEACHERS}, "
-                         f"where the q bound is defined at every gamma up to "
-                         f"{GAMMA_RANGE[1]}; got {max_teachers}")
+    _check_sizes(max_classes, max_teachers, SWEEP_MAX_TEACHERS)
     grid = grid or LambdaGrid.default()
     rng = derive_rng(seed, VERIFY_CASES, 0)
     report = VerificationReport(cases=num_cases, mc_cases=0)
@@ -173,7 +172,7 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_sizes(max_classes, max_teachers)
+    _check_sizes(max_classes, max_teachers, MAX_TEACHERS - 1)
     rng = derive_rng(seed, VERIFY_CASES, 1)
     report = VerificationReport(cases=0, mc_cases=num_cases)
     agreement = report.stats.setdefault("mc_agreement", CheckStats())

@@ -346,22 +346,38 @@ class TestEncoders:
 
 
 class TestImportCost:
-    def test_cli_imports_no_heavy_modules(self):
-        # scipy, numpy.polynomial, hypothesis and mpmath would each add to
-        # every CLI command's start-up time and resident memory; the oracle
-        # must not load one on its first quadrature either.
-        code = ("import sys, privagg.cli\n"
-                "heavy = lambda: sorted(m for m in ('scipy', 'numpy.polynomial', "
-                "'hypothesis', 'mpmath') if m in sys.modules)\n"
-                "print(heavy())\n"
-                "privagg.outcome_distribution(privagg.VoteHistogram((3, 1)), 0.5)\n"
-                "print(heavy())")
+    @staticmethod
+    def run_python(code: str) -> str:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out == "[]\n[]\n"
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    def test_cli_imports_no_heavy_modules(self):
+        # scipy, numpy.polynomial, hypothesis and mpmath would each add to
+        # every CLI command's start-up time and resident memory; the oracle
+        # must not load one on its first quadrature either.  numpy itself
+        # loads only once a function draws noise, samples votes or runs
+        # quadrature.
+        code = ("import sys, privagg.cli\n"
+                "heavy = lambda: sorted(m for m in ('scipy', 'numpy', 'numpy.polynomial', "
+                "'hypothesis', 'mpmath', 'secrets') if m in sys.modules)\n"
+                "print(heavy())\n"
+                "privagg.outcome_distribution(privagg.VoteHistogram((3, 1)), 0.5)\n"
+                "print(heavy())")
+        assert self.run_python(code) == "[]\n['numpy']\n"
+
+    def test_account_and_report_run_without_numpy(self, tmp_path):
+        out = tmp_path / "guarantee.json"
+        code = ("import sys, privagg.cli\n"
+                f"argv = ['account', {str(DATA / 'expected_ledger.jsonl')!r}, "
+                f"'--delta', '1e-5', '--output', {str(out)!r}]\n"
+                "assert privagg.cli.main(argv) == 0\n"
+                f"assert privagg.cli.main(['report', {str(out)!r}]) == 0\n"
+                "print('numpy' in sys.modules)")
+        assert self.run_python(code).splitlines()[-1] == "False"
+        assert out.read_bytes() == (DATA / "expected_guarantee.json").read_bytes()
 
 
 class TestAtomicWrite:
@@ -595,6 +611,19 @@ class TestCliVerify:
         assert main(["verify", "--cases", "1", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be >= 0"), err
+
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0"],
+        ["--mc-cases", "0"],
+    ])
+    def test_run_that_checks_nothing_exits_one(self, tmp_path, capsys, argv):
+        # A zero-check report once exited 0 and read as a pass.
+        out = tmp_path / "report.json"
+        assert main(["verify", "--cases", "0", *argv, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: verify made no checks")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
     def test_mc_crosscheck_survives_unanimous_histogram(self, capsys):
         # MC case 7 of this seed is a unanimous 3-class histogram at gamma

@@ -313,8 +313,11 @@ class TestQuadratureKernel:
     def test_node_table_is_leggauss_16_on_the_unit_interval(self):
         from numpy.polynomial.legendre import leggauss
         x, w = leggauss(16)
-        assert oracle._GL_NODES.tobytes() == ((x + 1.0) / 2.0).tobytes()
-        assert oracle._GL_WEIGHTS.tobytes() == (w / 2.0).tobytes()
+        nodes, weights = oracle._gl_arrays()
+        assert nodes.tobytes() == ((x + 1.0) / 2.0).tobytes()
+        assert weights.tobytes() == (w / 2.0).tobytes()
+        assert (nodes.tolist(), weights.tolist()) == (list(oracle._GL_NODES),
+                                                      list(oracle._GL_WEIGHTS))
 
     @staticmethod
     def assert_same_floats(counts, gamma):
@@ -574,25 +577,27 @@ class TestSweepSizeGuards:
     @pytest.mark.parametrize("sizes, message", [
         (dict(max_classes=1), r"max_classes must lie in \[2, 16\], got 1"),
         (dict(max_classes=17), r"max_classes must lie in \[2, 16\], got 17"),
-        # The n + 1 neighbour of an n = 10000 histogram is past the oracle's guard.
-        (dict(max_teachers=10_000), r"max_teachers must lie in \[5, 9999\], got 10000"),
+        # Past both tops: the n + 1 neighbour of n = 10000 is past the oracle's guard.
+        (dict(max_teachers=10_000), r"max_teachers must lie in \[5, {top}\], got 10000"),
         # random_histogram draws flat histograms of max_teachers // m votes a class.
         (dict(max_classes=10, max_teachers=5),
-         r"max_teachers must lie in \[10, 9999\], got 5"),
+         r"max_teachers must lie in \[10, {top}\], got 5"),
     ])
-    @pytest.mark.parametrize("sweep", [
-        lambda **sizes: soundness_sweep(0, **sizes),
-        lambda **sizes: mc_crosscheck(0, 10, **sizes),
+    # Each sweep names its own top: soundness_sweep's is where the q bound
+    # is defined at every gamma it draws.
+    @pytest.mark.parametrize("sweep, top", [
+        (lambda **sizes: soundness_sweep(0, **sizes), 709),
+        (lambda **sizes: mc_crosscheck(0, 10, **sizes), 9999),
     ], ids=["soundness_sweep", "mc_crosscheck"])
-    def test_out_of_range_rejected(self, sweep, sizes, message):
-        with pytest.raises(ValueError, match=message):
+    def test_out_of_range_rejected(self, sweep, top, sizes, message):
+        with pytest.raises(ValueError, match=message.format(top=top)):
             sweep(**sizes)
 
     def test_soundness_sweep_stops_where_the_q_bound_is_defined(self):
         # 9999 passes the oracle's guard, but at gamma near 1 a deficit of
         # 710 or more overflows e^(gamma * deficit) in the q bound.
-        with pytest.raises(ValueError, match=r"soundness_sweep supports max_teachers "
-                                             r"<= 709.*got 9999"):
+        with pytest.raises(ValueError, match=r"max_teachers must lie in \[16, 709\], "
+                                             r"got 9999"):
             soundness_sweep(3, seed=1, max_classes=16, max_teachers=9999)
         assert soundness_sweep(3, seed=1, max_classes=16, max_teachers=709).failures == 0
 
