@@ -34,8 +34,9 @@ from typing import Mapping
 from .mechanism import MechanismParams, VoteHistogram, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
-# data-dependent bound; cannot trigger for q below the validity threshold
-# but guards callers that bypass the threshold check.
+# data-dependent bound.  Just below the validity threshold it is about
+# 1 / (e^{2*gamma} + 1), so the guard trips there once gamma passes about
+# 13.8: at gamma = 20 and q = q_threshold(20) * (1 - 1e-14) it reads 7.1e-15.
 _DENOMINATOR_GUARD = 1e-12
 
 
@@ -174,10 +175,13 @@ def q_threshold(gamma: float) -> float:
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     try:
-        return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
+        # expm1 raises on a finite argument past 709.78 but returns inf on inf.
+        if 4.0 * gamma < math.inf:
+            return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
     except OverflowError:
-        raise ValueError(f"q threshold overflows at gamma={gamma!r}: e^(4*gamma) "
-                         "is beyond the float range") from None
+        pass
+    raise ValueError(f"q threshold overflows at gamma={gamma!r}: e^(4*gamma) "
+                     "is beyond the float range")
 
 
 def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:

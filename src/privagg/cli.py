@@ -108,8 +108,8 @@ def _emit_json(obj: dict, output, note: str) -> None:
 
 
 def _cmd_aggregate(args) -> int:
-    records = read_votes(args.votes)
     grid = LambdaGrid.up_to(args.lambda_max)
+    records = read_votes(args.votes)
     if not records:
         print(f"warning: {args.votes} contains no vote records; "
               "writing header-only outputs", file=sys.stderr)
@@ -125,9 +125,9 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_account(args) -> int:
-    ledger = read_ledger(args.ledger)
     if not 0.0 < args.delta < 1.0:
         raise ValueError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
+    ledger = read_ledger(args.ledger)
     _emit_json(account_obj(ledger, args.delta), args.output,
                f"guarantee for {len(ledger)} queries -> {args.output}")
     return EXIT_OK

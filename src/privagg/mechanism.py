@@ -33,13 +33,17 @@ _MIN_UNIFORM = 2.0 ** -53
 
 _INT = {int}
 
+# Counts become float64 before noise is added, and above 2^53 different
+# counts round to the same float.
+_MAX_VOTES = 2 ** 53
+
 
 @dataclass(frozen=True, slots=True)
 class VoteHistogram:
     """Per-query vector of teacher vote counts over the classes.
 
     Invariants: at least two classes, every count non-negative, at least
-    one vote in total.
+    one vote and at most 2^53 votes in total.
     """
 
     counts: tuple[int, ...]
@@ -48,7 +52,7 @@ class VoteHistogram:
         counts = self.counts
         # Plain case: a tuple of exact ints (``type`` also rules out bool).
         if (type(counts) is tuple and len(counts) >= 2 and {*map(type, counts)} == _INT
-                and min(counts) >= 0 and sum(counts) >= 1):
+                and min(counts) >= 0 and 1 <= sum(counts) <= _MAX_VOTES):
             return
         coerced = []
         for j, c in enumerate(self.counts):
@@ -60,8 +64,12 @@ class VoteHistogram:
             coerced.append(c)
         if len(coerced) < 2:
             raise ValueError(f"need at least 2 classes, got {len(coerced)}")
-        if sum(coerced) < 1:
+        total = sum(coerced)
+        if total < 1:
             raise ValueError("histogram must contain at least one vote")
+        if total > _MAX_VOTES:
+            raise ValueError("histogram holds more than 2**53 votes, "
+                             "beyond what a float count can tell apart")
         object.__setattr__(self, "counts", tuple(coerced))
 
     @property

@@ -263,7 +263,7 @@ def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
         others[k] *= power
     others *= half
     probs = others.reshape(d, -1) @ weight
-    return [max(0.0, p) for p in probs.tolist()]
+    return probs.tolist()
 
 
 def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistribution:
@@ -307,29 +307,17 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
 
 
 def enumerate_neighbors(hist: VoteHistogram) -> list[AdjacentPair]:
-    """All adjacent histograms, paired with the original.
+    """All adjacent histograms, each paired with the original exactly once.
 
-    Covers both shapes a one-example change can induce: a vote moving
-    between two classes (the changed teacher flips its prediction) and a
-    single class gaining or losing a vote.  Results are deduplicated and
-    deterministically ordered; variants violating histogram invariants
-    (e.g. dropping the last vote) are excluded.
+    A one-example change either moves a vote from a non-empty class j to a
+    class k != j (the teacher flips its prediction), or adds or removes one
+    vote; they come in that order, classes ascending.  Moves keep the total
+    and distinct moves differ, so no neighbour repeats.  A one-vote
+    histogram has no losses: a histogram needs at least one vote.
     """
     counts = hist.counts
     m = len(counts)
-    seen: set[tuple[int, ...]] = set()
-    pairs: list[AdjacentPair] = []
-
-    def emit(candidate: tuple[int, ...]) -> None:
-        if candidate in seen:
-            return
-        seen.add(candidate)
-        try:
-            neighbor = VoteHistogram(candidate)
-        except ValueError:
-            return
-        pairs.append(AdjacentPair(d=hist, d_prime=neighbor))
-
+    neighbors: list[list[int]] = []
     for j in range(m):
         if counts[j] < 1:
             continue
@@ -339,18 +327,19 @@ def enumerate_neighbors(hist: VoteHistogram) -> list[AdjacentPair]:
             moved = list(counts)
             moved[j] -= 1
             moved[k] += 1
-            emit(tuple(moved))
+            neighbors.append(moved)
     for j in range(m):
         bumped = list(counts)
         bumped[j] += 1
-        emit(tuple(bumped))
-    for j in range(m):
-        if counts[j] < 1:
-            continue
-        dropped = list(counts)
-        dropped[j] -= 1
-        emit(tuple(dropped))
-    return pairs
+        neighbors.append(bumped)
+    if hist.total > 1:
+        for j in range(m):
+            if counts[j] < 1:
+                continue
+            dropped = list(counts)
+            dropped[j] -= 1
+            neighbors.append(dropped)
+    return [AdjacentPair(d=hist, d_prime=VoteHistogram(tuple(n))) for n in neighbors]
 
 
 def exact_moment(pair: AdjacentPair, gamma: float, order: int) -> float:

@@ -1,10 +1,11 @@
 """Deterministic RNG derivation.
 
-Every random draw in the package flows from a single 64-bit master seed
-through ``derive_rng(master_seed, domain, *indices)``.  The derivation is
-a ``numpy.random.SeedSequence`` whose spawn key is the (domain, *indices)
-path, so independent streams never collide and runs are bit-reproducible
-for a fixed master seed.
+Every random draw in the package flows from a single master seed through
+``derive_rng(master_seed, domain, *indices)``, the module's one function.
+It seeds a ``numpy.random.SeedSequence`` with the master seed modulo 2^64
+and uses the (domain, *indices) path as its spawn key, so independent
+streams never collide and runs are bit-reproducible for a fixed master
+seed.
 
 Domain codes (first path element):
     0  mechanism noise (one stream per query)
@@ -35,17 +36,8 @@ VERIFY_CASES = 4
 _U64 = (1 << 64) - 1
 
 
-def mask64(seed: int) -> int:
-    """Map an arbitrary Python int onto the unsigned 64-bit seed domain."""
-    return int(seed) & _U64
-
-
-def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    import numpy as np
-    return np.random.SeedSequence(mask64(master_seed), spawn_key=tuple(map(int, path)))
-
-
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream identified by (master_seed, *path)."""
     import numpy as np
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *path)))
+    seq = np.random.SeedSequence(int(master_seed) & _U64, spawn_key=tuple(map(int, path)))
+    return np.random.Generator(np.random.PCG64(seq))

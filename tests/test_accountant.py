@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,9 +76,11 @@ class TestQThreshold:
         # e^(4*177) is still a float; the formula runs unchanged.
         assert q_threshold(177.0) == math.expm1(354.0) / math.expm1(708.0)
 
-    @pytest.mark.parametrize("gamma", [177.5, 200.0, 1e6])
+    # At 1e308 and inf, 2 * gamma and 4 * gamma are inf themselves, and
+    # expm1(inf) / expm1(inf) would be NaN.
+    @pytest.mark.parametrize("gamma", [177.5, 200.0, 1e6, 1e308, math.inf])
     def test_overflow_is_a_value_error_naming_gamma(self, gamma):
-        with pytest.raises(ValueError, match=rf"gamma={gamma!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"overflows at gamma={gamma!r}")):
             q_threshold(gamma)
 
 
@@ -191,6 +194,9 @@ class TestDataDependentMoment:
         with pytest.raises(ValueError, match="data-independent"):
             data_dependent_moment(threshold, 0.05, 1)
         assert data_dependent_moment(threshold * 0.999, 0.05, 1) >= 0.0
+        # A NaN threshold would let q = 0 pass the domain check.
+        with pytest.raises(ValueError, match="q threshold overflows"):
+            data_dependent_moment(0.0, 1e308, 1)
 
     def test_non_negative(self):
         for q in (1e-300, 1e-12, 1e-4):

@@ -513,6 +513,31 @@ class TestCliAggregateAccount:
                  "--labels-out", tmp_path / "l.jsonl", "--ledger-out", ledger)
         assert self.run("account", ledger, "--delta", "0") == 1
 
+    def test_bad_delta_is_named_before_the_ledger_is_read(self, tmp_path, capsys):
+        assert self.run("account", tmp_path / "missing.jsonl", "--delta", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: --delta must lie strictly inside (0, 1), got 0.0\n")
+
+    def test_bad_lambda_max_is_named_before_the_votes_are_read(self, tmp_path, capsys):
+        assert self.run("aggregate", tmp_path / "missing.jsonl", "--gamma", "0.05",
+                        "--lambda-max", "0", "--labels-out", tmp_path / "l.jsonl",
+                        "--ledger-out", tmp_path / "g.jsonl") == 1
+        assert capsys.readouterr().err == "error: lambda_max must be >= 1, got 0\n"
+
+    def test_count_beyond_float_precision_exits_one(self, tmp_path, capsys):
+        # Above 2^53 distinct counts share a float; 10^400 overflows float
+        # conversion altogether.
+        votes = write(tmp_path / "votes.jsonl",
+                      '{"query_id": "a", "counts": [3, 1]}\n'
+                      f'{{"query_id": "q1", "counts": [{10**400}, 0]}}\n')
+        labels, ledger = tmp_path / "labels.jsonl", tmp_path / "ledger.jsonl"
+        assert self.run("aggregate", votes, "--gamma", "0.05",
+                        "--labels-out", labels, "--ledger-out", ledger) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {votes}:2: histogram holds more than 2**53 votes, "
+                       "beyond what a float count can tell apart\n")
+        assert not labels.exists() and not ledger.exists()
+
 
 class TestCliOverflow:
     """A q bound beyond the float range is an input error, not a traceback."""

@@ -55,6 +55,9 @@ class TestVoteHistogram:
             raise ValueError(f"need at least 2 classes, got {len(coerced)}")
         if sum(coerced) < 1:
             raise ValueError("histogram must contain at least one vote")
+        if sum(coerced) > 2**53:
+            raise ValueError("histogram holds more than 2**53 votes, "
+                             "beyond what a float count can tell apart")
         return tuple(coerced)
 
     @pytest.mark.parametrize("counts", [
@@ -65,6 +68,7 @@ class TestVoteHistogram:
         (5,), [5], (), [],
         (0, 0), [0, 0, 0], (0,) * 100,
         (1.0, 2), (1, 2.5), ("1", 2), (None, 1),
+        (2**53, 0), (2**52, 2**52), (2**53, 1), [2**53, 0, 1], (10**400, 0),
     ])
     def test_accepts_and_rejects_like_the_reference(self, counts):
         try:

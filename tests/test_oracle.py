@@ -465,7 +465,17 @@ class TestEnumerateNeighbors:
     @given(hist=histograms())
     def test_yields_valid_adjacent_pairs(self, hist):
         pairs = enumerate_neighbors(hist)
-        assert len({p.d_prime.counts for p in pairs}) == len(pairs)
+        got = {p.d_prime.counts for p in pairs}
+        assert len(got) == len(pairs)
+        # brute force: every +-1 change in one or two coordinates that moves
+        # the total by at most 1 and leaves a valid histogram
+        expected = set()
+        for delta in itertools.product((-1, 0, 1), repeat=hist.num_classes):
+            if 0 < sum(map(abs, delta)) <= 2 and abs(sum(delta)) <= 1:
+                v = tuple(c + d for c, d in zip(hist.counts, delta))
+                if min(v) >= 0 and sum(v) >= 1:
+                    expected.add(v)
+        assert got == expected
         for pair in pairs:
             assert pair.d == hist
             diffs = [y - x for x, y in zip(pair.d.counts, pair.d_prime.counts)]
