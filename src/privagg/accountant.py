@@ -203,11 +203,16 @@ def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
             continue
         d = gamma * (top - c)
         try:
-            raw += (2.0 + d) / (4.0 * math.exp(d))
+            growth = math.exp(d)
         except OverflowError:
+            growth = math.inf
+        # exp raises for a large finite d but returns inf for d = inf (gamma *
+        # deficit beyond the float range); both leave the term undefined.
+        if growth == math.inf:
             raise ValueError(f"q bound overflows at gamma={gamma!r} and deficit "
                              f"{top - c}: e^(gamma*deficit) is beyond the float "
-                             "range") from None
+                             "range")
+        raw += (2.0 + d) / (4.0 * growth)
         if raw >= 1.0:
             # Every term is >= 0 (or NaN, which the clamp also maps to 1), and
             # adding such terms never lowers a float sum: the clamp gives 1.0.

@@ -107,8 +107,16 @@ def _emit_json(obj: dict, output, note: str) -> None:
         sys.stdout.write(dump_json(obj))
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"--delta must lie strictly inside (0, 1), got {delta}")
+
+
 def _cmd_aggregate(args) -> int:
+    # Check every argument before reading the votes, so a bad one is named
+    # even when the file is missing.
     grid = LambdaGrid.up_to(args.lambda_max)
+    MechanismParams(gamma=args.gamma, seed=args.seed)
     records = read_votes(args.votes)
     if not records:
         print(f"warning: {args.votes} contains no vote records; "
@@ -125,8 +133,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_account(args) -> int:
-    if not 0.0 < args.delta < 1.0:
-        raise ValueError(f"--delta must lie strictly inside (0, 1), got {args.delta}")
+    _check_delta(args.delta)
     ledger = read_ledger(args.ledger)
     _emit_json(account_obj(ledger, args.delta), args.output,
                f"guarantee for {len(ledger)} queries -> {args.output}")
@@ -159,6 +166,7 @@ def _cmd_simulate(args) -> int:
     else:
         if args.gamma is None:
             raise ValueError("--gamma is required for --mode budget")
+        _check_delta(args.delta)
         report = budget_report(config, args.gamma, args.delta,
                                grid=LambdaGrid.up_to(args.lambda_max))
         write_json(args.output, budget_report_obj(report, config))

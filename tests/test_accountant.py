@@ -110,6 +110,16 @@ class TestQUpperBound:
         with pytest.raises(ValueError, match=rf"gamma={gamma!r} and deficit {deficit}\b"):
             q_upper_bound(VoteHistogram(counts), gamma)
 
+    @pytest.mark.parametrize("counts, gamma, deficit", [
+        ((5, 3), 1e308, 2), ((3, 5, 0), 1e308, 2), ((1, 0), math.inf, 1)])
+    def test_infinite_gamma_times_deficit_is_the_same_overflow(self, counts, gamma,
+                                                               deficit):
+        # math.exp(inf) returns inf without raising, so the term was NaN and
+        # the clamp turned it into 1.0.
+        message = re.escape(f"q bound overflows at gamma={gamma!r} and deficit {deficit}:")
+        with pytest.raises(ValueError, match=message):
+            q_upper_bound(VoteHistogram(counts), gamma)
+
     def test_clamp_before_an_overflowing_term_keeps_one(self):
         assert q_upper_bound(VoteHistogram((16, 16, 16, 0)), 45.0) == 1.0
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -368,6 +369,24 @@ class TestImportCost:
                 "print(heavy())")
         assert self.run_python(code) == "[]\n['numpy']\n"
 
+    def test_derive_rng_loads_only_numpy_random(self):
+        # The seeding tail defines its numpy seed-sequence class on first use,
+        # so the CLI imports without numpy; one stream then loads nothing that
+        # a bare ``import numpy.random`` does not.
+        loaded = ("import sys, privagg.cli\n"
+                  "from privagg.seeding import derive_rng\n"
+                  "assert 'numpy' not in sys.modules\n"
+                  "before = set(sys.modules)\n"
+                  "derive_rng(3, 0, 7)\n"
+                  "print(sorted(set(sys.modules) - before))")
+        bare = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import numpy.random\n"
+                "print(sorted(set(sys.modules) - before))")
+        by_derive_rng = set(ast.literal_eval(self.run_python(loaded)))
+        assert "numpy.random" in by_derive_rng
+        assert by_derive_rng <= set(ast.literal_eval(self.run_python(bare)))
+
     def test_account_and_report_run_without_numpy(self, tmp_path):
         out = tmp_path / "guarantee.json"
         code = ("import sys, privagg.cli\n"
@@ -524,6 +543,13 @@ class TestCliAggregateAccount:
                         "--ledger-out", tmp_path / "g.jsonl") == 1
         assert capsys.readouterr().err == "error: lambda_max must be >= 1, got 0\n"
 
+    def test_bad_gamma_is_named_before_the_votes_are_read(self, tmp_path, capsys):
+        assert self.run("aggregate", tmp_path / "missing.jsonl", "--gamma", "-1",
+                        "--labels-out", tmp_path / "l.jsonl",
+                        "--ledger-out", tmp_path / "g.jsonl") == 1
+        assert capsys.readouterr().err == (
+            "error: gamma must be a positive finite real, got -1.0\n")
+
     def test_count_beyond_float_precision_exits_one(self, tmp_path, capsys):
         # Above 2^53 distinct counts share a float; 10^400 overflows float
         # conversion altogether.
@@ -586,6 +612,18 @@ class TestCliSimulate:
                      "--output", str(out)]) == 0
         assert calls == [20]
         assert out.read_bytes() == (DATA / "expected_budget.json").read_bytes()
+
+    def test_bad_delta_is_named_before_any_query_is_labelled(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from privagg import cli
+        calls = []
+        monkeypatch.setattr(cli, "budget_report", lambda *args, **kw: calls.append(args))
+        out = tmp_path / "budget.json"
+        assert main(["simulate", "--mode", "budget", "--queries", "20000",
+                     "--gamma", "0.05", "--delta", "2", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --delta must lie strictly inside (0, 1), got 2.0\n")
+        assert calls == [] and not out.exists()
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
