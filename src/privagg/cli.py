@@ -23,7 +23,6 @@ from .accountant import moments_guarantee, strong_composition_eps
 from .formats import (
     FileFormatError,
     FORMAT_VERSION,
-    VoteRecord,
     dump_json,
     guarantee_to_obj,
     provenance,
@@ -34,7 +33,7 @@ from .formats import (
     write_ledger,
     write_sweep_csv,
 )
-from .mechanism import MechanismParams, noisy_labels
+from .mechanism import MechanismParams, VoteHistogram, noisy_labels
 from .simulation import BudgetReport, EnsembleConfig, ErrorModel, budget_report, sweep_gamma
 from .verification import run_verification
 
@@ -43,19 +42,15 @@ EXIT_INPUT_ERROR = 1
 EXIT_BOUND_VIOLATION = 2
 
 
-def aggregate_votes(records: list[VoteRecord], gamma: float, seed: int,
-                    grid: LambdaGrid) -> tuple[list[tuple[str, int]], PrivacyLedger]:
-    """Label every vote record with the noisy argmax and book its moments.
+def aggregate_votes(query_ids: list[str], hists: list[VoteHistogram], params: MechanismParams,
+                    grid: LambdaGrid) -> tuple[list[int], PrivacyLedger]:
+    """Label every histogram with the noisy argmax and book its moments.
 
-    The noise stream for record i derives from (seed, mechanism-noise, i),
-    so the output is a pure function of (records, gamma, seed, grid).  The
-    CLI 'aggregate' subcommand is exactly this plus file IO.
+    ``labels[i]`` is the label of ``ledger.query_ids[i]``, drawn from the
+    stream (params.seed, mechanism-noise, i).  The CLI 'aggregate'
+    subcommand is exactly this plus file IO.
     """
-    params = MechanismParams(gamma=gamma, seed=seed)
-    hists = [record.histogram for record in records]
-    query_ids = [record.query_id for record in records]
-    labels = list(zip(query_ids, noisy_labels(hists, params)))
-    return labels, book(hists, query_ids, params, grid)
+    return noisy_labels(hists, params), book(hists, query_ids, params, grid)
 
 
 def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
@@ -116,16 +111,16 @@ def _cmd_aggregate(args) -> int:
     # Check every argument before reading the votes, so a bad one is named
     # even when the file is missing.
     grid = LambdaGrid.up_to(args.lambda_max)
-    MechanismParams(gamma=args.gamma, seed=args.seed)
-    records = read_votes(args.votes)
-    if not records:
+    params = MechanismParams(gamma=args.gamma, seed=args.seed)
+    query_ids, hists = read_votes(args.votes)
+    if not hists:
         print(f"warning: {args.votes} contains no vote records; "
               "writing header-only outputs", file=sys.stderr)
-    labels, ledger = aggregate_votes(records, args.gamma, args.seed, grid)
+    labels, ledger = aggregate_votes(query_ids, hists, params, grid)
     # Book the spend before releasing any label: a failed ledger write
     # must leave no labels behind.
     write_ledger(args.ledger_out, ledger)
-    write_labels(args.labels_out, provenance(args.gamma, grid, args.seed), labels)
+    write_labels(args.labels_out, ledger, labels)
     print(f"aggregated {len(labels)} queries at gamma={args.gamma} "
           f"(noise scale 1/gamma = {1.0 / args.gamma:g}) -> "
           f"{args.labels_out}, {args.ledger_out}", file=sys.stderr)

@@ -7,11 +7,12 @@ Votes come one record per line, either pre-tallied or as raw labels:
     {"query_id": "q2", "labels": [0, 0, 1], "num_classes": 3}
 
 Label records are tallied on ingest; mixed forms are fine but every record
-must agree on the class count.  Ledgers and label files start with a header
-object carrying {format_version, gamma, lambda_grid, seed} so outputs are
-self-describing.  Parse errors always name the offending line, a
-query_id may appear only once per votes or ledger file, and a ledger
-holding a JSON boolean where a number belongs is rejected.
+must agree on the class count.  Ledgers start with a header object carrying
+{format_version, gamma, lambda_grid, seed} so outputs are self-describing,
+and a label file repeats its ledger's header and query ids.  Parse errors
+always name the offending line, a query_id may appear only once per votes
+or ledger file, and a ledger holding a JSON boolean where a number belongs
+is rejected.
 
 Every line of a ledger or label file is exactly the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for its object.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -42,17 +42,11 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the file and line."""
 
 
-@dataclass(frozen=True, slots=True)
-class VoteRecord:
-    query_id: str
-    histogram: VoteHistogram
-
-
 def _fail(path, line_no: int, message: str) -> FileFormatError:
     return FileFormatError(f"{path}:{line_no}: {message}")
 
 
-def _parse_vote_record(path, line_no: int, obj) -> VoteRecord:
+def _parse_vote_record(path, line_no: int, obj) -> tuple[str, VoteHistogram]:
     if not isinstance(obj, dict):
         raise _fail(path, line_no, f"expected an object, got {type(obj).__name__}")
     query_id = obj.get("query_id")
@@ -72,7 +66,7 @@ def _parse_vote_record(path, line_no: int, obj) -> VoteRecord:
             hist = tally_votes(obj["labels"], m)
     except (ValueError, TypeError) as exc:
         raise _fail(path, line_no, str(exc)) from exc
-    return VoteRecord(query_id=query_id, histogram=hist)
+    return query_id, hist
 
 
 def _check_unique(path, line_no: int, query_id: str, seen: dict[str, int]) -> None:
@@ -89,10 +83,10 @@ def _content_lines(fh):
             yield line_no, line
 
 
-def read_votes(path) -> list[VoteRecord]:
-    """Parse a votes JSONL file; empty files yield an empty list."""
-    records: list[VoteRecord] = []
-    seen: dict[str, int] = {}
+def read_votes(path) -> tuple[list[str], list[VoteHistogram]]:
+    """Parse a votes JSONL file into aligned query id and histogram lists."""
+    hists: list[VoteHistogram] = []
+    seen: dict[str, int] = {}  # query id -> first line, in file order
     num_classes = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in _content_lines(fh):
@@ -100,16 +94,15 @@ def read_votes(path) -> list[VoteRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            record = _parse_vote_record(path, line_no, obj)
-            _check_unique(path, line_no, record.query_id, seen)
+            query_id, hist = _parse_vote_record(path, line_no, obj)
+            _check_unique(path, line_no, query_id, seen)
             if num_classes is None:
-                num_classes = record.histogram.num_classes
-            elif record.histogram.num_classes != num_classes:
-                raise _fail(path, line_no,
-                            f"record has {record.histogram.num_classes} classes, "
-                            f"earlier records have {num_classes}")
-            records.append(record)
-    return records
+                num_classes = hist.num_classes
+            elif hist.num_classes != num_classes:
+                raise _fail(path, line_no, f"record has {hist.num_classes} classes, "
+                                           f"earlier records have {num_classes}")
+            hists.append(hist)
+    return list(seen), hists
 
 
 def provenance(gamma: float, lambda_grid: LambdaGrid, seed: int) -> dict:
@@ -137,17 +130,18 @@ def _replacing(path):
         tmp.unlink(missing_ok=True)  # gone already after a successful replace
 
 
-def _encode_label(query_id, label) -> str:
+def _encode_label(query_id: str, label: int) -> str:
     """One label line: the bytes of ``_dump({"query_id": ..., "label": ...})``."""
-    if type(label) is int and type(query_id) is str:
-        return f'{{"label":{label!r},"query_id":{encode_basestring_ascii(query_id)}}}'
-    return _dump({"query_id": query_id, "label": label})
+    if type(label) is not int:
+        raise ValueError(f"label of query {query_id!r} is not an int: {label!r}")
+    return f'{{"label":{label!r},"query_id":{encode_basestring_ascii(query_id)}}}'
 
 
-def write_labels(path, header: dict, labels: list[tuple[str, int]]) -> None:
+def write_labels(path, ledger: PrivacyLedger, labels: list[int]) -> None:
+    """The ledger's header, then one label per entry; a count mismatch raises ValueError."""
     with _replacing(path) as fh:
-        fh.write(_dump(header) + "\n")
-        for query_id, label in labels:
+        fh.write(_dump(provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)) + "\n")
+        for query_id, label in zip(ledger.query_ids, labels, strict=True):
             fh.write(_encode_label(query_id, label) + "\n")
 
 

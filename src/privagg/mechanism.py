@@ -93,12 +93,15 @@ class MechanismParams:
     seed: int = 0
 
     def __post_init__(self):
-        g = float(self.gamma)
-        if not (g > 0.0) or not math.isfinite(g):
+        # float() and int() would take "0.5", True and 2.9 without complaint.
+        g = self.gamma
+        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 < g < math.inf:
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma!r}")
         if not math.isfinite(1.0 / g):
             raise ValueError(f"Laplace scale 1/gamma is not finite for gamma={self.gamma!r}")
-        object.__setattr__(self, "gamma", g)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "gamma", float(g))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -115,7 +118,10 @@ def tally_votes(labels, m: int) -> VoteHistogram:
     """
     if m < 2:
         raise ValueError(f"need at least 2 classes, got m={m}")
-    counts = [0] * m
+    try:
+        counts = [0] * m
+    except OverflowError:
+        raise ValueError(f"m={m} classes are more than a list can hold") from None
     for i, label in enumerate(labels):
         if isinstance(label, bool) or not isinstance(label, numbers.Integral):
             raise ValueError(f"label at position {i} is not an integer: {label!r}")

@@ -44,6 +44,7 @@ Mechanism noise paths; batches are drawn only by ``mechanism.noisy_labels``:
 from __future__ import annotations
 
 import functools
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -93,7 +94,6 @@ def _words(n: int) -> list[int]:
 def _prefix(seed: int, head: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Pool of SeedSequence(seed, spawn_key=head) and the hash constant after it."""
     import numpy as np
-    head = tuple(map(int, head))
     pool = np.random.SeedSequence(seed, spawn_key=head).pool.tolist()
     hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * sum(len(_words(x)) for x in head)
     return tuple(pool), _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32
@@ -127,16 +127,18 @@ def __getattr__(name: str):
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """PCG64 generator for the stream identified by (master_seed, *path)."""
+    """PCG64 generator for the stream identified by the integers (master_seed, *path)."""
     import numpy as np
-    seed = int(master_seed) & _U64
+    seed = operator.index(master_seed) & _U64
     if not path:
         pool, _ = _prefix(seed, ())
     else:
-        pool, h = _prefix(seed, path[:-1])
+        # Convert before the cache lookup: (0.0,) and (0,) are the same key.
+        *head, last = map(operator.index, path)
+        pool, h = _prefix(seed, tuple(head))
         # SeedSequence's mix of each later entropy word: hash it once per pool
         # slot, advancing h, and mix each hash into its slot.
-        for word in _words(int(path[-1])):
+        for word in _words(last):
             mixed = []
             for p in pool:
                 value = word ^ h

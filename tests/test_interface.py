@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privagg import LambdaGrid, PrivacyLedger, data_independent_moment, q_threshold
+from privagg import (
+    LambdaGrid, MechanismParams, PrivacyLedger, data_independent_moment, q_threshold,
+)
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
 from privagg.formats import (
@@ -31,6 +33,13 @@ def write(path: Path, text: str) -> Path:
     return path
 
 
+def aggregate_head(k=None, gamma=0.05, seed=0):
+    """``aggregate_votes`` on the first ``k`` records of votes_100.jsonl."""
+    query_ids, hists = read_votes(DATA / "votes_100.jsonl")
+    return aggregate_votes(query_ids[:k], hists[:k], MechanismParams(gamma=gamma, seed=seed),
+                           GRID)
+
+
 class TestReadVotes:
     def test_counts_and_labels_forms_mix(self, tmp_path):
         path = write(tmp_path / "votes.jsonl", "\n".join([
@@ -38,12 +47,12 @@ class TestReadVotes:
             '{"query_id": "b", "labels": [0, 1, 1], "num_classes": 2}',
             "",
         ]))
-        records = read_votes(path)
-        assert [(r.query_id, r.histogram.counts) for r in records] == [
+        query_ids, hists = read_votes(path)
+        assert [(q, h.counts) for q, h in zip(query_ids, hists, strict=True)] == [
             ("a", (3, 1)), ("b", (1, 2))]
 
     def test_empty_file(self, tmp_path):
-        assert read_votes(write(tmp_path / "votes.jsonl", "")) == []
+        assert read_votes(write(tmp_path / "votes.jsonl", "")) == ([], [])
 
     def test_invalid_json_names_line(self, tmp_path):
         path = write(tmp_path / "votes.jsonl",
@@ -87,11 +96,23 @@ class TestReadVotes:
         with pytest.raises(FileFormatError, match=r":3: duplicate query_id 'a'.*line 1"):
             read_votes(path)
 
+    def test_class_count_beyond_a_list_names_line(self, tmp_path, capsys):
+        path = write(tmp_path / "votes.jsonl", "\n".join([
+            '{"query_id": "a", "counts": [3, 1]}',
+            f'{{"query_id": "b", "labels": [0], "num_classes": {2**70}}}',
+        ]))
+        with pytest.raises(FileFormatError, match=":2: .*more than a list can hold"):
+            read_votes(path)
+        assert main(["aggregate", str(path), "--gamma", "0.05",
+                     "--labels-out", str(tmp_path / "l.jsonl"),
+                     "--ledger-out", str(tmp_path / "g.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["votes.jsonl"]
+
 
 class TestLedgerRoundTrip:
     def test_write_then_read(self, tmp_path):
-        records = read_votes(DATA / "votes_100.jsonl")[:10]
-        _, ledger = aggregate_votes(records, 0.05, 0, GRID)
+        _, ledger = aggregate_head(10)
         path = tmp_path / "ledger.jsonl"
         write_ledger(path, ledger)
         loaded = read_ledger(path)
@@ -101,7 +122,7 @@ class TestLedgerRoundTrip:
 
     def test_corrupted_entry_names_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:2], 0.05, 0, GRID)
+        _, ledger = aggregate_head(2)
         write_ledger(path, ledger)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace('"q_bound"', '"qqq"')
@@ -115,7 +136,7 @@ class TestLedgerRoundTrip:
 
     def test_duplicate_query_id_names_second_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:2], 0.05, 0, GRID)
+        _, ledger = aggregate_head(2)
         write_ledger(path, ledger)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[1]]) + "\n")
@@ -124,7 +145,7 @@ class TestLedgerRoundTrip:
 
     def test_non_string_query_id_rejected(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:1], 0.05, 0, GRID)
+        _, ledger = aggregate_head(1)
         write_ledger(path, ledger)
         lines = path.read_text().splitlines()
         lines[1] = json.dumps({**json.loads(lines[1]), "query_id": ["a"]})
@@ -209,7 +230,7 @@ class TestLedgerBooleans:
 
     @pytest.mark.parametrize("line_index", [0, 1])
     def test_gamma_true_rejected_where_gamma_is_one(self, tmp_path, line_index):
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:2], 1.0, 0, GRID)
+        _, ledger = aggregate_head(2, gamma=1.0)
         path = tmp_path / "ledger.jsonl"
         write_ledger(path, ledger)
         assert len(read_ledger(path)) == 2
@@ -328,11 +349,15 @@ class TestEncoders:
         ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, 0))]
 
-    @given(query_id=query_ids,
-           label=st.integers() | st.booleans() | st.floats(allow_nan=False) | st.none())
+    @given(query_id=query_ids, label=st.integers())
     def test_label_matches_json_dumps(self, query_id, label):
         assert formats._encode_label(query_id, label) == formats._dump(
             {"query_id": query_id, "label": label})
+
+    @pytest.mark.parametrize("label", [True, 1.0, None, np.int64(1)])
+    def test_label_that_is_not_an_int_is_refused(self, label):
+        with pytest.raises(ValueError, match="not an int"):
+            formats._encode_label("q", label)
 
     @settings(max_examples=50, deadline=None)
     @given(ledger=ledgers())
@@ -402,7 +427,7 @@ class TestImportCost:
 class TestAtomicWrite:
     def test_failed_ledger_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ledger.jsonl"
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl")[:3], 0.05, 0, GRID)
+        _, ledger = aggregate_head(3)
         write_ledger(path, ledger)
         old = path.read_bytes()
         encode = formats._encode_entry
@@ -423,8 +448,18 @@ class TestAtomicWrite:
 
     def test_failed_labels_write_keeps_old_file(self, tmp_path):
         path = write(tmp_path / "labels.jsonl", "old labels\n")
-        with pytest.raises(TypeError):
-            write_labels(path, {"format_version": 1}, [("a", 0), ("b", object())])
+        _, ledger = aggregate_head(2)
+        with pytest.raises(ValueError):
+            write_labels(path, ledger, [0, object()])
+        assert path.read_text() == "old labels\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3]], ids=["fewer", "more"])
+    def test_label_count_unlike_the_ledger_keeps_old_file(self, tmp_path, labels):
+        path = write(tmp_path / "labels.jsonl", "old labels\n")
+        _, ledger = aggregate_head(3)
+        with pytest.raises(ValueError, match="zip"):
+            write_labels(path, ledger, labels)
         assert path.read_text() == "old labels\n"
         assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
@@ -434,9 +469,9 @@ class TestAggregate:
         lines = [json.dumps({"query_id": f"u{j}", "counts": [0] * j + [250] + [0] * (9 - j)})
                  for j in range(3)]
         path = write(tmp_path / "votes.jsonl", "\n".join(lines) + "\n")
-        records = read_votes(path)
-        labels, ledger = aggregate_votes(records, 0.05, 0, GRID)
-        assert [label for _, label in labels] == [0, 1, 2]
+        query_ids, hists = read_votes(path)
+        labels, ledger = aggregate_votes(query_ids, hists, MechanismParams(gamma=0.05), GRID)
+        assert labels == [0, 1, 2]
         assert len(ledger) == 3
         for q_bound, alphas in zip(ledger.q_bounds, ledger.alphas):
             assert q_bound < q_threshold(0.05)
@@ -444,12 +479,11 @@ class TestAggregate:
                        for order, alpha in zip(GRID.values, alphas))
 
     def test_deterministic_in_seed(self):
-        records = read_votes(DATA / "votes_100.jsonl")
-        a_labels, a_ledger = aggregate_votes(records, 0.05, 7, GRID)
-        b_labels, b_ledger = aggregate_votes(records, 0.05, 7, GRID)
+        a_labels, a_ledger = aggregate_head(seed=7)
+        b_labels, b_ledger = aggregate_head(seed=7)
         assert a_labels == b_labels
         assert a_ledger == b_ledger
-        c_labels, _ = aggregate_votes(records, 0.05, 8, GRID)
+        c_labels, _ = aggregate_head(seed=8)
         assert c_labels != a_labels
 
 
@@ -489,8 +523,19 @@ class TestCliAggregateAccount:
         self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
                  "--seed", "0", "--labels-out", labels, "--ledger-out", ledger_path)
         self.run("account", ledger_path, "--delta", "1e-5", "--output", out)
-        _, ledger = aggregate_votes(read_votes(DATA / "votes_100.jsonl"), 0.05, 0, GRID)
+        _, ledger = aggregate_head()
         assert dump_json(account_obj(ledger, 1e-5)).encode() == out.read_bytes()
+
+    def test_labels_file_carries_its_ledger_header_and_ids(self, tmp_path):
+        labels, ledger = tmp_path / "labels.jsonl", tmp_path / "ledger.jsonl"
+        assert self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
+                        "--labels-out", labels, "--ledger-out", ledger) == 0
+        label_lines = labels.read_bytes().splitlines()
+        ledger_lines = ledger.read_bytes().splitlines()
+        assert label_lines[0] == ledger_lines[0]
+        ids = [json.loads(line)["query_id"] for line in ledger_lines[1:]]
+        assert [json.loads(line)["query_id"] for line in label_lines[1:]] == ids
+        assert ids == read_votes(DATA / "votes_100.jsonl")[0]
 
     def test_empty_votes_warns_and_succeeds(self, tmp_path, capsys):
         votes = write(tmp_path / "votes.jsonl", "")

@@ -87,10 +87,20 @@ class TestMechanismParams:
     def test_scale_is_inverse_gamma(self):
         assert MechanismParams(gamma=0.05).scale == 20.0
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan, "0.5", True, None])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(ValueError):
             MechanismParams(gamma=gamma)
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, "7", True, None])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MechanismParams(gamma=0.5, seed=seed)
+
+    def test_numpy_numbers_are_accepted(self):
+        params = MechanismParams(gamma=np.float64(0.5), seed=np.uint64(2**63))
+        assert (params.gamma, params.seed) == (0.5, 2**63)
+        assert type(params.gamma) is float and type(params.seed) is int
 
 
 class TestTallyVotes:
@@ -105,6 +115,11 @@ class TestTallyVotes:
         h = tally_votes([4] * 250, 10)
         assert h.counts[4] == 250
         assert sum(h.counts) == 250
+
+    def test_class_count_beyond_a_list_is_a_value_error(self):
+        # 2^70 cannot be a list length; [0] * m raises OverflowError.
+        with pytest.raises(ValueError, match="more than a list can hold"):
+            tally_votes([0], 2**70)
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="position 2"):

@@ -61,6 +61,18 @@ def test_negative_item_raises_as_numpy_does(path):
         derive_rng(4, *path)
 
 
+@pytest.mark.parametrize("seed, path", [
+    (0, (0, 1.5)), (0, (0.0, 5)), (2.9, ()), (2.0, (0,)), ("7", (0,)),
+    (0, (np.float64(1.0),))])
+def test_non_integer_seed_or_item_raises_as_numpy_does(seed, path):
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(seed, spawn_key=path)
+    # Cache the pool of the integer prefix (0,) first: (0.0,) is an equal key.
+    derive_rng(0, 0, 5)
+    with pytest.raises(TypeError):
+        derive_rng(seed, *path)
+
+
 def test_pickle_round_trip_keeps_the_stream():
     rng = derive_rng(11, 0, 2, 5)
     copy = pickle.loads(pickle.dumps(rng))
