@@ -49,7 +49,6 @@ from .oracle import (
     outcome_distribution,
 )
 from .simulation import (
-    BudgetReport,
     EnsembleConfig,
     ErrorModel,
     SweepResult,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacentPair",
-    "BudgetReport",
     "EnsembleConfig",
     "ErrorModel",
     "Guarantee",

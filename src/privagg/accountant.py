@@ -31,7 +31,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import MechanismParams, VoteHistogram, plurality
+from .mechanism import MechanismParams, VoteHistogram, _gamma, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound.  Just below the validity threshold it is about
@@ -109,9 +109,7 @@ class PrivacyLedger:
     alphas: list[tuple[float, ...]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        self.gamma = _finite_nonnegative("gamma", self.gamma)
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        self.gamma = _gamma(self.gamma)
 
     def append(self, query_id: str, q_bound: float, alphas) -> None:
         if not isinstance(query_id, str):

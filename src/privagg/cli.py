@@ -34,7 +34,7 @@ from .formats import (
     write_sweep_csv,
 )
 from .mechanism import MechanismParams, VoteHistogram, noisy_labels
-from .simulation import BudgetReport, EnsembleConfig, ErrorModel, budget_report, sweep_gamma
+from .simulation import EnsembleConfig, ErrorModel, budget_report, sweep_gamma
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -73,15 +73,15 @@ def _account_obj(ledger: PrivacyLedger, delta: float, totals: dict[int, float]) 
     return obj
 
 
-def budget_report_obj(report: BudgetReport, config: EnsembleConfig) -> dict:
+def budget_report_obj(ledger: PrivacyLedger, accuracy: float, delta: float,
+                      config: EnsembleConfig) -> dict:
     """Budget JSON object: the ledger's guarantee plus the run's own keys."""
-    totals = compose(report.ledger)
-    obj = _account_obj(report.ledger, report.delta, totals)
+    totals = compose(ledger)
+    obj = _account_obj(ledger, delta, totals)
     obj.update({
-        "delta": report.delta,
-        "num_queries": len(report.ledger),
-        "aggregate_accuracy": None if math.isnan(report.aggregate_accuracy)
-                              else report.aggregate_accuracy,
+        "delta": delta,
+        "num_queries": len(ledger),
+        "aggregate_accuracy": None if math.isnan(accuracy) else accuracy,
         "ensemble": {
             "n": config.n,
             "m": config.m,
@@ -162,23 +162,23 @@ def _cmd_simulate(args) -> int:
         if args.gamma is None:
             raise ValueError("--gamma is required for --mode budget")
         _check_delta(args.delta)
-        report = budget_report(config, args.gamma, args.delta,
-                               grid=LambdaGrid.up_to(args.lambda_max))
-        write_json(args.output, budget_report_obj(report, config))
+        ledger, accuracy = budget_report(config, args.gamma,
+                                         grid=LambdaGrid.up_to(args.lambda_max))
+        write_json(args.output, budget_report_obj(ledger, accuracy, args.delta, config))
         print(f"budget report for {config.queries} queries at gamma={args.gamma} "
               f"-> {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    grid = LambdaGrid.up_to(args.lambda_max)
     report = run_verification(num_cases=args.cases, trials=args.trials,
-                              mc_cases=args.mc_cases, seed=args.seed,
-                              grid=LambdaGrid.up_to(args.lambda_max))
+                              mc_cases=args.mc_cases, seed=args.seed, grid=grid)
     if not any(s.checks for s in report.stats.values()):
         raise ValueError("verify made no checks: --cases is 0 and the Monte Carlo "
                          "cross-check is off (--trials or --mc-cases is 0)")
     obj = {"format_version": FORMAT_VERSION, "seed": args.seed,
-           "lambda_grid": list(range(1, args.lambda_max + 1))}
+           "lambda_grid": list(grid.values)}
     obj.update(report.to_dict())
     _emit_json(obj, args.output, f"verification report -> {args.output}")
     if report.failures:

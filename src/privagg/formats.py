@@ -272,8 +272,11 @@ def guarantee_to_obj(guarantee: Guarantee, lambda_grid: LambdaGrid,
 
 
 def dump_json(obj) -> str:
-    """Deterministic pretty JSON used for every JSON artifact."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic pretty JSON used for every JSON artifact.
+
+    Raises ValueError on an infinite or NaN float, which JSON cannot hold.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -81,6 +81,26 @@ class VoteHistogram:
         return sum(self.counts)
 
 
+def _gamma(value) -> float:
+    """``value`` as a float gamma, or ValueError unless it is a non-bool real,
+    positive and finite, whose Laplace scale 1/gamma is finite too.
+
+    The one gamma rule: ``MechanismParams`` and ``PrivacyLedger`` both apply it.
+    """
+    # float() would take "0.5" and True without complaint.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"gamma must be a positive finite real, got {value!r}")
+    try:
+        g = float(value)
+    except OverflowError:  # an int past the float range, such as 10**400
+        g = math.inf
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"gamma must be a positive finite real, got {value!r}")
+    if not math.isfinite(1.0 / g):
+        raise ValueError(f"Laplace scale 1/gamma is not finite for gamma={value!r}")
+    return g
+
+
 @dataclass(frozen=True, slots=True)
 class MechanismParams:
     """Inverse noise scale gamma (> 0) and the RNG master seed.
@@ -93,15 +113,10 @@ class MechanismParams:
     seed: int = 0
 
     def __post_init__(self):
-        # float() and int() would take "0.5", True and 2.9 without complaint.
-        g = self.gamma
-        if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 < g < math.inf:
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma!r}")
-        if not math.isfinite(1.0 / g):
-            raise ValueError(f"Laplace scale 1/gamma is not finite for gamma={self.gamma!r}")
+        object.__setattr__(self, "gamma", _gamma(self.gamma))
+        # int() would take "7", True and 2.9 without complaint.
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "gamma", float(g))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property

@@ -84,24 +84,6 @@ class SweepResult:
             raise ValueError(f"normalized gap out of [0, 1]: {self.mean_normalized_gap}")
 
 
-@dataclass(frozen=True, slots=True)
-class BudgetReport:
-    """The ledger of one simulated labelling run, its target delta and accuracy.
-
-    Gamma, grid, query count, composed totals and both guarantees all
-    derive from ``ledger`` (``cli.budget_report_obj`` renders them).
-    ``aggregate_accuracy`` is NaN when the run answered zero queries.
-    """
-
-    delta: float
-    ledger: PrivacyLedger
-    aggregate_accuracy: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
-
-
 def synth_query_votes(config: EnsembleConfig, true_label: int,
                       rng: np.random.Generator) -> VoteHistogram:
     """Votes of one synthetic ensemble on one query.
@@ -170,19 +152,19 @@ def sweep_gamma(config: EnsembleConfig, gamma_grid) -> SweepResult:
                        mean_normalized_gap=mean_norm)
 
 
-def budget_report(config: EnsembleConfig, gamma: float, delta: float,
-                  grid: LambdaGrid | None = None) -> BudgetReport:
+def budget_report(config: EnsembleConfig, gamma: float,
+                  grid: LambdaGrid | None = None) -> tuple[PrivacyLedger, float]:
     """Run the configured queries end to end: label each one and book it.
 
-    Noise uses the stream prefix (0,), the same as the first gamma of a
-    ``sweep_gamma`` run on this config, so the two agree on accuracy there.
-    The report carries the ledger (query q is booked as ``q{q:05d}``) and
-    the fraction of noisy labels matching the true ones.
+    Returns the ledger (query q is booked as ``q{q:05d}``) and the fraction
+    of noisy labels matching the true ones, NaN when the run answered zero
+    queries.  Noise uses the stream prefix (0,), the same as the first gamma
+    of a ``sweep_gamma`` run on this config, so the two agree on accuracy
+    there.
     """
     grid = grid or LambdaGrid.default()
     params = MechanismParams(gamma=gamma, seed=config.seed)
     labels, hists = _query_stream(config)
     hits = sum(x == y for x, y in zip(noisy_labels(hists, params, 0), labels))
     ledger = book(hists, [f"q{q:05d}" for q in range(config.queries)], params, grid)
-    accuracy = hits / config.queries if config.queries else math.nan
-    return BudgetReport(delta=delta, ledger=ledger, aggregate_accuracy=accuracy)
+    return ledger, hits / config.queries if config.queries else math.nan

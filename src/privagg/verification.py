@@ -117,35 +117,38 @@ def random_histogram(rng: np.random.Generator, max_classes: int = 5,
     return VoteHistogram(tuple(counts))
 
 
-def _check_sizes(max_classes: int, max_teachers: int, teacher_limit: int) -> None:
-    """Refuse shapes ``random_histogram`` cannot draw or the sweep cannot check;
-    ``teacher_limit`` is the sweep's own top for ``max_teachers``."""
+def _cases(seed: int, stream: int, num_cases: int, max_classes: int,
+           max_teachers: int, teacher_limit: int):
+    """The ``num_cases`` random ``(hist, gamma)`` cases of the stream
+    (VERIFY_CASES, stream), drawn lazily, histogram first.
+
+    Refuses sizes ``random_histogram`` cannot draw or the sweep cannot check
+    (``teacher_limit`` is its top for ``max_teachers``) before any draw.
+    """
+    if num_cases < 0:
+        raise ValueError(f"num_cases must be >= 0, got {num_cases}")
     if not 2 <= max_classes <= MAX_CLASSES:
         raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes}")
     if not max_classes <= max_teachers <= teacher_limit:
         raise ValueError(f"max_teachers must lie in [{max_classes}, {teacher_limit}], "
                          f"got {max_teachers}")
+    rng = derive_rng(seed, VERIFY_CASES, stream)
+    return ((random_histogram(rng, max_classes, max_teachers),
+             float(rng.uniform(*GAMMA_RANGE))) for _ in range(num_cases))
 
 
 def soundness_sweep(num_cases: int, seed: int = 0,
                     grid: LambdaGrid | None = None,
                     max_classes: int = 5, max_teachers: int = 50) -> VerificationReport:
     """Audit the q bound, the per-query moments, and pure DP on random cases."""
-    if num_cases < 0:
-        raise ValueError(f"num_cases must be >= 0, got {num_cases}")
-    _check_sizes(max_classes, max_teachers, SWEEP_MAX_TEACHERS)
+    cases = _cases(seed, 0, num_cases, max_classes, max_teachers, SWEEP_MAX_TEACHERS)
     grid = grid or LambdaGrid.default()
-    rng = derive_rng(seed, VERIFY_CASES, 0)
     report = VerificationReport(cases=num_cases, mc_cases=0)
     miss = report.stats.setdefault("miss_probability", CheckStats())
     moments = report.stats.setdefault("moment_bound", CheckStats())
     pure_dp = report.stats.setdefault("pure_dp", CheckStats())
 
-    lo, hi = GAMMA_RANGE
-    for _ in range(num_cases):
-        hist = random_histogram(rng, max_classes, max_teachers)
-        gamma = float(rng.uniform(lo, hi))
-
+    for hist, gamma in cases:
         dist = outcome_distribution(hist, gamma)
         p_miss = 1.0 - dist.probs[plurality(hist)]
         miss.record(p_miss, q_upper_bound(hist, gamma), QUADRATURE_TOLERANCE)
@@ -168,19 +171,13 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
     additive term keeps the band honest where trials*p is Poisson-small and
     the normal approximation understates upward fluctuations.
     """
-    if num_cases < 0:
-        raise ValueError(f"num_cases must be >= 0, got {num_cases}")
+    cases = _cases(seed, 1, num_cases, max_classes, max_teachers, MAX_TEACHERS - 1)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_sizes(max_classes, max_teachers, MAX_TEACHERS - 1)
-    rng = derive_rng(seed, VERIFY_CASES, 1)
     report = VerificationReport(cases=0, mc_cases=num_cases)
     agreement = report.stats.setdefault("mc_agreement", CheckStats())
 
-    lo, hi = GAMMA_RANGE
-    for case in range(num_cases):
-        hist = random_histogram(rng, max_classes, max_teachers)
-        gamma = float(rng.uniform(lo, hi))
+    for case, (hist, gamma) in enumerate(cases):
         probs = outcome_distribution(hist, gamma).probs
         mc_seed = int(derive_rng(seed, ORACLE_MC, case).integers(0, 2**63))
         freqs = mc_outcome_frequencies(hist, gamma, trials, seed=mc_seed).probs

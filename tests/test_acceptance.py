@@ -197,15 +197,14 @@ def test_criterion_8_budget_report_structure():
     (out of scope); the report pipeline instead demonstrates the full
     budget-report structure on a synthetic ensemble."""
     started = time.perf_counter()
-    report = budget_report(EnsembleConfig(queries=100, seed=0), 0.05, 1e-5)
-    ledger = report.ledger
+    ledger, accuracy = budget_report(EnsembleConfig(queries=100, seed=0), 0.05)
     totals = compose(ledger)
-    moments = moments_guarantee(ledger, report.delta)
-    strong = strong_composition_eps(ledger.gamma, len(ledger), report.delta)
+    moments = moments_guarantee(ledger, 1e-5)
+    strong = strong_composition_eps(ledger.gamma, len(ledger), 1e-5)
     assert len(ledger) == 100
     assert set(totals) == set(GRID.values)
     assert all(alpha >= 0 for alpha in totals.values())
-    assert 0.0 <= report.aggregate_accuracy <= 1.0
+    assert 0.0 <= accuracy <= 1.0
     assert moments.epsilon > 0
     assert moments.epsilon <= strong.epsilon
     assert strong.epsilon == pytest.approx(

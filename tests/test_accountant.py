@@ -303,7 +303,8 @@ class TestQueryMoment:
         assert ledger.q_bounds == [0.25] and ledger.alphas == [(0.0, 0.5)]
         assert {type(ledger.q_bounds[0]), *map(type, ledger.alphas[0])} == {float}
 
-    @pytest.mark.parametrize("gamma", [True, "0.05", math.nan, math.inf, 0.0, -0.05])
+    @pytest.mark.parametrize("gamma", [True, "0.05", math.nan, math.inf, 0.0, -0.05,
+                                       5e-324, pytest.param(10**400, id="10**400")])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             PrivacyLedger(gamma=gamma, lambda_grid=GRID)

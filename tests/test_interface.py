@@ -282,6 +282,18 @@ class TestLedgerHeaderTypes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_gamma_with_infinite_noise_scale_is_refused(self, tmp_path, capsys):
+        # aggregate refuses this gamma; a ledger once accepted it and account
+        # wrote "noise_scale": Infinity.
+        path = write(tmp_path / "ledger.jsonl",
+                     '{"format_version":1,"gamma":5e-324,"lambda_grid":[1,2],"seed":0}\n')
+        out = tmp_path / "guarantee.json"
+        assert main(["account", str(path), "--delta", "1e-5", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: malformed ledger header: Laplace scale 1/gamma is not "
+            "finite for gamma=5e-324\n")
+        assert not out.exists()
+
     def test_fixture_header_still_accepted(self, tmp_path):
         out = tmp_path / "guarantee.json"
         assert main(["account", str(DATA / "expected_ledger.jsonl"), "--delta", "1e-5",
@@ -610,6 +622,28 @@ class TestCliAggregateAccount:
         assert not labels.exists() and not ledger.exists()
 
 
+class TestJsonArtifactsAreFinite:
+    def test_infinite_epsilon_is_an_error_not_json(self, tmp_path, capsys):
+        # Strong composition at gamma 1e200 overflows 4*T*gamma^2; account
+        # once wrote "epsilon": Infinity, which is not JSON.
+        ledger = PrivacyLedger(gamma=1e200, lambda_grid=LambdaGrid((1, 2)))
+        ledger.append("q0", 0.0, (0.0, 0.0))
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(path, ledger)
+        out = tmp_path / "guarantee.json"
+        for output in (["--output", str(out)], []):
+            assert main(["account", str(path), "--delta", "1e-5", *output]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_dump_json_refuses_non_finite_floats(self, value):
+        with pytest.raises(ValueError):
+            dump_json({"epsilon": value})
+
+
 class TestCliOverflow:
     """A q bound beyond the float range is an input error, not a traceback."""
 
@@ -687,6 +721,12 @@ class TestCliSimulate:
 
 
 class TestCliVerify:
+    def test_report_bytes_are_frozen(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--cases", "40", "--trials", "2000", "--mc-cases", "4",
+                     "--seed", "11", "--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "expected_verify.json").read_bytes()
+
     def test_small_run_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify", "--cases", "15", "--trials", "2000",

@@ -87,7 +87,8 @@ class TestMechanismParams:
     def test_scale_is_inverse_gamma(self):
         assert MechanismParams(gamma=0.05).scale == 20.0
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan, "0.5", True, None])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan, "0.5", True, None,
+                                       5e-324, pytest.param(10**400, id="10**400")])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(ValueError):
             MechanismParams(gamma=gamma)

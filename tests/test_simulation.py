@@ -113,53 +113,48 @@ class TestSweepGamma:
             sweep_gamma(EnsembleConfig(queries=1), grid)
 
 
-def _moments(report):
-    return moments_guarantee(report.ledger, report.delta)
+def _moments(ledger):
+    return moments_guarantee(ledger, 1e-5)
 
 
-def _strong(report):
-    return strong_composition_eps(report.ledger.gamma, len(report.ledger), report.delta)
+def _strong(ledger):
+    return strong_composition_eps(ledger.gamma, len(ledger), 1e-5)
 
 
 class TestBudgetReport:
     def test_unanimous_votes_beat_strong_composition(self):
         config = EnsembleConfig(teacher_accuracy=1.0, queries=100, seed=2)
-        report = budget_report(config, 0.05, 1e-5)
+        ledger, _ = budget_report(config, 0.05)
         strong = strong_composition_eps(0.05, 100, 1e-5).epsilon
-        assert _strong(report).epsilon == pytest.approx(strong)
-        assert _moments(report).epsilon < strong
-        assert _moments(report).method is GuaranteeMethod.MOMENTS
+        assert _strong(ledger).epsilon == pytest.approx(strong)
+        assert _moments(ledger).epsilon < strong
+        assert _moments(ledger).method is GuaranteeMethod.MOMENTS
 
     def test_zero_queries_cost_nothing(self):
         config = EnsembleConfig(queries=0)
-        report = budget_report(config, 0.05, 1e-5)
-        assert _moments(report).epsilon == 0.0
-        assert _strong(report).epsilon == 0.0
-        assert math.isnan(report.aggregate_accuracy)
-        assert all(alpha == 0.0 for alpha in compose(report.ledger).values())
+        ledger, accuracy = budget_report(config, 0.05)
+        assert _moments(ledger).epsilon == 0.0
+        assert _strong(ledger).epsilon == 0.0
+        assert math.isnan(accuracy)
+        assert all(alpha == 0.0 for alpha in compose(ledger).values())
 
     def test_doubling_queries_doubles_totals(self):
         base = EnsembleConfig(teacher_accuracy=1.0, queries=100, seed=3)
         double = EnsembleConfig(teacher_accuracy=1.0, queries=200, seed=3)
-        totals_1 = compose(budget_report(base, 0.05, 1e-5).ledger)
-        totals_2 = compose(budget_report(double, 0.05, 1e-5).ledger)
+        totals_1 = compose(budget_report(base, 0.05)[0])
+        totals_2 = compose(budget_report(double, 0.05)[0])
         for order, alpha in totals_1.items():
             assert totals_2[order] == pytest.approx(2 * alpha, rel=1e-12)
 
     def test_accuracy_tracked(self):
         config = EnsembleConfig(teacher_accuracy=1.0, queries=50, seed=1)
-        report = budget_report(config, 1.0, 1e-5)
-        assert report.aggregate_accuracy == 1.0
-        assert len(report.ledger) == 50
+        ledger, accuracy = budget_report(config, 1.0)
+        assert accuracy == 1.0
+        assert len(ledger) == 50
 
     def test_accuracy_matches_first_sweep_gamma(self):
         # Both label with stream prefix (0,), so the same noise hits the same votes.
         config = EnsembleConfig(n=50, teacher_accuracy=0.3, queries=200, seed=4)
-        accuracy = budget_report(config, 0.1, 1e-5).aggregate_accuracy
+        _, accuracy = budget_report(config, 0.1)
         assert 0.0 < accuracy < 1.0
         assert accuracy == sweep_gamma(config, [0.1, 0.5]).points[0].accuracy
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0])
-    def test_rejects_bad_delta(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            budget_report(EnsembleConfig(queries=1), 0.05, delta)
