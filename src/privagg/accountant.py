@@ -146,6 +146,8 @@ class Guarantee:
     def __post_init__(self):
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
+        if self.epsilon == math.inf:
+            raise ValueError(f"{self.method.value} epsilon is not finite: {self.epsilon!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
 
@@ -385,8 +387,6 @@ def moments_guarantee(ledger: PrivacyLedger, delta: float) -> Guarantee:
     by special case rather than the tail bound's ln(1/delta)/l_max artifact.
     """
     if len(ledger) == 0:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
         return Guarantee(epsilon=0.0, delta=delta,
                          method=GuaranteeMethod.MOMENTS, argmin_lambda=None)
     return eps_for_delta(compose(ledger), delta)

@@ -223,7 +223,10 @@ def _cmd_report(args) -> int:
             print("  " + "".join(c.ljust(22) for c in cells))
         return EXIT_OK
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path} holds a JSON {type(obj).__name__}, not an object")
     try:
@@ -257,13 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="privagg",
         description="Noisy-max vote aggregation with moments-based privacy accounting.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)  # shared by aggregate, simulate, verify
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--lambda-max", type=int, default=LambdaGrid.default().values[-1])
 
-    p = sub.add_parser("aggregate", help="label queries and write a privacy ledger")
+    p = sub.add_parser("aggregate", parents=[seeded],
+                       help="label queries and write a privacy ledger")
     p.add_argument("votes", help="votes JSONL file")
     p.add_argument("--gamma", type=float, required=True,
                    help="inverse noise scale (Laplace scale is 1/gamma)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-max", type=int, default=8, dest="lambda_max")
     p.add_argument("--labels-out", required=True, dest="labels_out")
     p.add_argument("--ledger-out", required=True, dest="ledger_out")
     p.set_defaults(func=_cmd_aggregate)
@@ -274,31 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="also write the guarantee JSON here")
     p.set_defaults(func=_cmd_account)
 
-    p = sub.add_parser("simulate", help="synthetic-ensemble sweeps and budget reports")
+    ensemble = EnsembleConfig()
+    p = sub.add_parser("simulate", parents=[seeded],
+                       help="synthetic-ensemble sweeps and budget reports")
     p.add_argument("--mode", choices=("sweep", "budget"), default="budget")
-    p.add_argument("--n", type=int, default=250, help="number of teachers")
-    p.add_argument("--m", type=int, default=10, help="number of classes")
-    p.add_argument("--teacher-accuracy", type=float, default=0.8386,
-                   dest="teacher_accuracy")
+    p.add_argument("--n", type=int, default=ensemble.n, help="number of teachers")
+    p.add_argument("--m", type=int, default=ensemble.m, help="number of classes")
+    p.add_argument("--teacher-accuracy", type=float, default=ensemble.teacher_accuracy)
     p.add_argument("--error-model", choices=[e.value for e in ErrorModel],
-                   default=ErrorModel.UNIFORM_CONFUSION.value, dest="error_model")
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+                   default=ensemble.error_model.value)
+    p.add_argument("--queries", type=int, default=ensemble.queries)
     p.add_argument("--gamma", type=float, help="single gamma (budget mode)")
     p.add_argument("--gammas", help="comma-separated ascending gammas (sweep mode)")
     p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--lambda-max", type=int, default=8, dest="lambda_max")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the oracle soundness suite")
+    p = sub.add_parser("verify", parents=[seeded], help="run the oracle soundness suite")
     p.add_argument("--cases", type=int, default=1000,
                    help="random histograms for the bound-soundness sweep")
     p.add_argument("--trials", type=int, default=100_000,
                    help="Monte Carlo trials per cross-check case (0 skips MC)")
     p.add_argument("--mc-cases", type=int, default=100, dest="mc_cases")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-max", type=int, default=8, dest="lambda_max")
     p.add_argument("--output", help="also write the report JSON here")
     p.set_defaults(func=_cmd_verify)
 
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .accountant import LambdaGrid, PrivacyLedger, book
-from .mechanism import MechanismParams, VoteHistogram, gap, noisy_labels
+from .mechanism import MechanismParams, VoteHistogram, _gamma, gap, noisy_labels
 from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
 
 if TYPE_CHECKING:
@@ -125,15 +125,14 @@ def sweep_gamma(config: EnsembleConfig, gamma_grid) -> SweepResult:
 
     The same vote histograms are reused at every gamma (fresh noise each
     time), so the sweep isolates the effect of the noise level.  Identical
-    config and seed reproduce the result bit for bit.
+    config and seed reproduce the result bit for bit.  Every gamma must
+    pass ``MechanismParams``'s rule, checked before any query is drawn.
     """
-    grid = [float(g) for g in gamma_grid]
+    grid = [_gamma(g) for g in gamma_grid]
     if not grid:
         raise ValueError("gamma grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"gamma grid must be strictly ascending, got {grid}")
-    if any(not g > 0 for g in grid):
-        raise ValueError(f"gamma values must be positive, got {grid}")
     if config.queries < 1:
         raise ValueError("sweep needs at least one query")
     import numpy as np

@@ -28,7 +28,6 @@ from .accountant import LambdaGrid, per_query_moment, q_upper_bound
 from .mechanism import VoteHistogram, plurality
 from .oracle import (
     MAX_CLASSES,
-    MAX_TEACHERS,
     QUADRATURE_TOLERANCE,
     enumerate_neighbors,
     exact_moment,
@@ -117,20 +116,18 @@ def random_histogram(rng: np.random.Generator, max_classes: int = 5,
     return VoteHistogram(tuple(counts))
 
 
-def _cases(seed: int, stream: int, num_cases: int, max_classes: int,
-           max_teachers: int, teacher_limit: int):
+def _cases(seed: int, stream: int, num_cases: int, max_classes: int, max_teachers: int):
     """The ``num_cases`` random ``(hist, gamma)`` cases of the stream
     (VERIFY_CASES, stream), drawn lazily, histogram first.
 
-    Refuses sizes ``random_histogram`` cannot draw or the sweep cannot check
-    (``teacher_limit`` is its top for ``max_teachers``) before any draw.
+    Refuses sizes it cannot draw or check before drawing any case.
     """
     if num_cases < 0:
         raise ValueError(f"num_cases must be >= 0, got {num_cases}")
     if not 2 <= max_classes <= MAX_CLASSES:
         raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes}")
-    if not max_classes <= max_teachers <= teacher_limit:
-        raise ValueError(f"max_teachers must lie in [{max_classes}, {teacher_limit}], "
+    if not max_classes <= max_teachers <= SWEEP_MAX_TEACHERS:
+        raise ValueError(f"max_teachers must lie in [{max_classes}, {SWEEP_MAX_TEACHERS}], "
                          f"got {max_teachers}")
     rng = derive_rng(seed, VERIFY_CASES, stream)
     return ((random_histogram(rng, max_classes, max_teachers),
@@ -141,7 +138,7 @@ def soundness_sweep(num_cases: int, seed: int = 0,
                     grid: LambdaGrid | None = None,
                     max_classes: int = 5, max_teachers: int = 50) -> VerificationReport:
     """Audit the q bound, the per-query moments, and pure DP on random cases."""
-    cases = _cases(seed, 0, num_cases, max_classes, max_teachers, SWEEP_MAX_TEACHERS)
+    cases = _cases(seed, 0, num_cases, max_classes, max_teachers)
     grid = grid or LambdaGrid.default()
     report = VerificationReport(cases=num_cases, mc_cases=0)
     miss = report.stats.setdefault("miss_probability", CheckStats())
@@ -162,16 +159,16 @@ def soundness_sweep(num_cases: int, seed: int = 0,
     return report
 
 
-def mc_crosscheck(num_cases: int, trials: int, seed: int = 0,
-                  max_classes: int = 5, max_teachers: int = 50) -> VerificationReport:
-    """Cross-validate quadrature probabilities against Monte Carlo sampling.
+def mc_crosscheck(num_cases: int, trials: int, seed: int = 0) -> VerificationReport:
+    """Cross-validate quadrature probabilities against Monte Carlo sampling on
+    ``num_cases`` histograms of at most 5 classes and 50 votes, stream (VERIFY_CASES, 1).
 
     Per class, the empirical frequency must land within
     4*sqrt(p(1-p)/trials) + 10/trials of the quadrature probability p; the
     additive term keeps the band honest where trials*p is Poisson-small and
     the normal approximation understates upward fluctuations.
     """
-    cases = _cases(seed, 1, num_cases, max_classes, max_teachers, MAX_TEACHERS - 1)
+    cases = _cases(seed, 1, num_cases, max_classes=5, max_teachers=50)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = VerificationReport(cases=0, mc_cases=num_cases)

@@ -635,6 +635,7 @@ class TestJsonArtifactsAreFinite:
             assert main(["account", str(path), "--delta", "1e-5", *output]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "StrongComposition" in captured.err
             assert captured.out == ""
         assert not out.exists()
 
@@ -819,7 +820,8 @@ class TestCliReport:
         ("5", "holds a JSON int, not an object"),
         ('{"moments": 1}', "'moments' holds int, not an object"),
         ('{"moments": {"epsilon": 1}}', "'moments.delta' is missing"),
-    ], ids=["int", "moments-int", "no-delta"])
+        ("not json", "x.json:1: invalid JSON"),
+    ], ids=["int", "moments-int", "no-delta", "not-json"])
     def test_malformed_guarantee_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "x.json"
         path.write_text(text)

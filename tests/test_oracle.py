@@ -22,7 +22,7 @@ from privagg import (
     q_upper_bound,
 )
 from privagg import oracle
-from privagg.verification import mc_crosscheck, random_histogram, soundness_sweep
+from privagg.verification import random_histogram, soundness_sweep
 from conftest import histograms
 
 # Shapes where small probabilities, wide gaps, narrow margins or many
@@ -587,18 +587,16 @@ class TestSweepSizeGuards:
     @pytest.mark.parametrize("sizes, message", [
         (dict(max_classes=1), r"max_classes must lie in \[2, 16\], got 1"),
         (dict(max_classes=17), r"max_classes must lie in \[2, 16\], got 17"),
-        # Past both tops: the n + 1 neighbour of n = 10000 is past the oracle's guard.
+        # Past the top: the n + 1 neighbour of n = 10000 is past the oracle's guard.
         (dict(max_teachers=10_000), r"max_teachers must lie in \[5, {top}\], got 10000"),
         # random_histogram draws flat histograms of max_teachers // m votes a class.
         (dict(max_classes=10, max_teachers=5),
          r"max_teachers must lie in \[10, {top}\], got 5"),
     ])
-    # Each sweep names its own top: soundness_sweep's is where the q bound
-    # is defined at every gamma it draws.
+    # The top is where the q bound is defined at every gamma the sweep draws.
     @pytest.mark.parametrize("sweep, top", [
         (lambda **sizes: soundness_sweep(0, **sizes), 709),
-        (lambda **sizes: mc_crosscheck(0, 10, **sizes), 9999),
-    ], ids=["soundness_sweep", "mc_crosscheck"])
+    ], ids=["soundness_sweep"])
     def test_out_of_range_rejected(self, sweep, top, sizes, message):
         with pytest.raises(ValueError, match=message.format(top=top)):
             sweep(**sizes)
@@ -615,5 +613,3 @@ class TestSweepSizeGuards:
     def test_sizes_in_range_run(self, max_classes, max_teachers):
         report = soundness_sweep(5, seed=1, max_classes=max_classes, max_teachers=max_teachers)
         assert report.failures == 0 and report.stats["moment_bound"].checks > 0
-        mc = mc_crosscheck(2, 100, seed=1, max_classes=max_classes, max_teachers=max_teachers)
-        assert mc.stats["mc_agreement"].checks > 0

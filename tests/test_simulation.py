@@ -14,6 +14,7 @@ from privagg import (
     sweep_gamma,
     synth_query_votes,
 )
+from privagg import simulation
 from privagg.seeding import derive_rng
 
 
@@ -107,10 +108,16 @@ class TestSweepGamma:
         grid = [0.01, 0.1]
         assert sweep_gamma(config, grid) == sweep_gamma(config, grid)
 
-    @pytest.mark.parametrize("grid", [[], [0.1, 0.1], [0.2, 0.1], [-1.0]])
-    def test_rejects_bad_grid(self, grid):
+    @pytest.mark.parametrize("grid", [[], [0.1, 0.1], [0.2, 0.1], [-1.0],
+                                      ["0.5"], [True], [0.1, math.inf], [math.nan]])
+    def test_rejects_bad_grid(self, grid, monkeypatch):
+        # Every gamma is checked before any query is synthesized.
+        calls = []
+        monkeypatch.setattr(simulation, "synth_query_votes",
+                            lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             sweep_gamma(EnsembleConfig(queries=1), grid)
+        assert calls == []
 
 
 def _moments(ledger):
