@@ -26,6 +26,7 @@ targets and is usually much tighter.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from .mechanism import MechanismParams, VoteHistogram, _gamma, plurality
 # 1 / (e^{2*gamma} + 1), so the guard trips there once gamma passes about
 # 13.8: at gamma = 20 and q = q_threshold(20) * (1 - 1e-14) it reads 7.1e-15.
 _DENOMINATOR_GUARD = 1e-12
+_FLOAT = {float}
 
 
 class GuaranteeMethod(enum.Enum):
@@ -84,7 +86,10 @@ def _finite_nonnegative(name: str, value) -> float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             held = "a boolean" if isinstance(value, bool) else f"a {type(value).__name__}"
             raise ValueError(f"{name!r} holds {held}, not a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range, such as 10**400
+            value = math.inf if value > 0 else -math.inf
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name!r} must be finite and non-negative, got {value!r}")
     return value
@@ -112,6 +117,18 @@ class PrivacyLedger:
         self.gamma = _gamma(self.gamma)
 
     def append(self, query_id: str, q_bound: float, alphas) -> None:
+        # The plain case, which ``book`` and ``read_ledger`` always give, is
+        # checked in one pass.  ``sum`` is NaN or inf unless every alpha is
+        # finite (``min`` and ``max`` skip a NaN inside the tuple); any other
+        # input takes the per-value checks below and their messages.
+        if (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
+                and type(alphas) is tuple and len(alphas) == len(self.lambda_grid.values)
+                and {*map(type, alphas)} == _FLOAT and min(alphas) >= 0.0
+                and sum(alphas) < math.inf):
+            self.query_ids.append(query_id)
+            self.q_bounds.append(q_bound)
+            self.alphas.append(alphas)
+            return
         if not isinstance(query_id, str):
             raise ValueError(f"query_id must be a string, got {query_id!r}")
         q_bound = _finite_nonnegative("q_bound", q_bound)
@@ -172,6 +189,12 @@ def q_threshold(gamma: float) -> float:
     large gamma.  Raises ValueError once e^{4g} leaves the float range
     (gamma above about 177).
     """
+    return _threshold(gamma)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _threshold(gamma: float) -> float:
+    """``q_threshold``, computed once per gamma (see ``_order_free_terms``)."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     try:
@@ -238,24 +261,37 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    threshold = q_threshold(gamma)
+    threshold = _threshold(gamma)
     if q >= threshold:
         raise ValueError(
             f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
             f"got q={q:.6g}; use the data-independent bound instead")
     if q == 0.0:
         return 0.0
+    log_q, log1p_neg_q, log_denom = _order_free_terms(q, gamma)
+    log_first = (order + 1) * log1p_neg_q - order * log_denom
+    log_second = log_q + 2.0 * gamma * order
+    alpha = _log_add(log_first, log_second)
+    # The bound is >= 0 exactly; chop float dust from the cancellation at q ~ 0.
+    return max(0.0, alpha)
+
+
+# ``per_query_moment`` calls ``data_dependent_moment`` once per grid order
+# with one (q, gamma), so the terms that do not depend on the order are
+# computed once per query.  ``typed`` keeps a numpy gamma apart from an equal
+# float, so every result is the float the uncached expression gives.  Like
+# ``_threshold``, this cache calls no public function: a traced run counts
+# the same calls in every round.
+@functools.lru_cache(maxsize=1, typed=True)
+def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float]:
+    """``(log q, log1p(-q), log(1 - e^{2g} q))`` for 0 < q < q_threshold(gamma)."""
     log_q = math.log(q)
     denom = -math.expm1(2.0 * gamma + log_q)  # 1 - e^{2g} * q
     if denom < _DENOMINATOR_GUARD:
         raise ValueError(
             f"1 - e^(2*gamma)*q = {denom:.3g} is below the stability guard; "
             "treat this q as out of domain")
-    log_first = (order + 1) * math.log1p(-q) - order * math.log(denom)
-    log_second = log_q + 2.0 * gamma * order
-    alpha = _log_add(log_first, log_second)
-    # The bound is >= 0 exactly; chop float dust from the cancellation at q ~ 0.
-    return max(0.0, alpha)
+    return log_q, math.log1p(-q), math.log(denom)
 
 
 def _log_add(logx: float, logy: float) -> float:
@@ -279,7 +315,7 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     quantities.
     """
     qb = q_upper_bound(hist, gamma)
-    usable = qb < q_threshold(gamma)
+    usable = qb < _threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
     alphas = []
     for order in grid.values:

@@ -14,8 +14,10 @@ inputs and seed reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
+import os
 import sys
 
 from .accountant import LambdaGrid, PrivacyLedger, book, compose, eps_for_delta
@@ -40,6 +42,10 @@ from .verification import run_verification
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_BOUND_VIOLATION = 2
+
+# verify's --cases, --trials and --mc-cases defaults are run_verification's own.
+_VERIFY_DEFAULTS = {name: parameter.default for name, parameter
+                    in inspect.signature(run_verification).parameters.items()}
 
 
 def aggregate_votes(query_ids: list[str], hists: list[VoteHistogram], params: MechanismParams,
@@ -107,11 +113,21 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"--delta must lie strictly inside (0, 1), got {delta}")
 
 
+def _same_file(a, b) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)  # also sees hard links
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_aggregate(args) -> int:
     # Check every argument before reading the votes, so a bad one is named
     # even when the file is missing.
     grid = LambdaGrid.up_to(args.lambda_max)
     params = MechanismParams(gamma=args.gamma, seed=args.seed)
+    if _same_file(args.labels_out, args.ledger_out):
+        # The labels would replace the ledger that books them.
+        raise ValueError(f"--labels-out and --ledger-out name the same file: "
+                         f"{args.ledger_out}")
     query_ids, hists = read_votes(args.votes)
     if not hists:
         print(f"warning: {args.votes} contains no vote records; "
@@ -296,11 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", parents=[seeded], help="run the oracle soundness suite")
-    p.add_argument("--cases", type=int, default=1000,
+    p.add_argument("--cases", type=int, default=_VERIFY_DEFAULTS["num_cases"],
                    help="random histograms for the bound-soundness sweep")
-    p.add_argument("--trials", type=int, default=100_000,
+    p.add_argument("--trials", type=int, default=_VERIFY_DEFAULTS["trials"],
                    help="Monte Carlo trials per cross-check case (0 skips MC)")
-    p.add_argument("--mc-cases", type=int, default=100, dest="mc_cases")
+    p.add_argument("--mc-cases", type=int, default=_VERIFY_DEFAULTS["mc_cases"],
+                   dest="mc_cases")
     p.add_argument("--output", help="also write the report JSON here")
     p.set_defaults(func=_cmd_verify)
 

@@ -19,13 +19,18 @@ Every line of a ledger or label file is exactly the bytes of
 Each moment of a ledger entry carries a ``source``: "DataDependent" where
 its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 "DataIndependent" otherwise.  Writers derive it from the alpha, and readers
-reject a stored source that disagrees.  Every writer replaces its target
-atomically: a failed write leaves the old file intact.
+reject a stored source that disagrees.  The ledger reader takes those
+canonical entry lines apart with one pattern per ledger and hands every
+other line to ``json``, with the same checks and messages either way.
+Every writer replaces its target atomically: a failed write leaves the old
+file intact.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -157,17 +162,29 @@ def _sources(alphas, bounds) -> list[str]:
             for alpha, bound in zip(alphas, bounds)]
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _entry_template(gamma: float, orders: tuple[int, ...]) -> str:
+    """``%`` template of a ledger line with gamma and the orders filled in.
+
+    Its slots are each order's alpha (``%r``) and source (``%s``), then the
+    q bound (``%r``) and the ASCII-escaped JSON string of the query id (``%s``).
+    """
+    moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
+                        for order in orders])
+    return f'{{"gamma":{gamma!r},"moments":[{moments}],"q_bound":%r,"query_id":%s}}'
+
+
 def _encode_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas) -> str:
     """One ledger line: the bytes of ``_dump`` of the entry's object.
 
     ``json`` writes every finite float as ``float.__repr__`` does, and a
     ledger holds only ``str`` ids, ``int`` orders and finite floats.
     """
-    moments = ",".join([f'{{"alpha":{alpha!r},"lambda":{order!r},"source":"{source}"}}'
-                        for order, alpha, source
-                        in zip(ledger.lambda_grid.values, alphas, _sources(alphas, bounds))])
-    return (f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":{q_bound!r},'
-            f'"query_id":{encode_basestring_ascii(query_id)}}}')
+    slots = []
+    for alpha, source in zip(alphas, _sources(alphas, bounds)):
+        slots += alpha, source
+    return (_entry_template(ledger.gamma, ledger.lambda_grid.values)
+            % (*slots, q_bound, encode_basestring_ascii(query_id)))
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
@@ -177,6 +194,25 @@ def write_ledger(path, ledger: PrivacyLedger) -> None:
         fh.write(_dump(header) + "\n")
         for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
             fh.write(_encode_entry(ledger, bounds, *entry) + "\n")
+
+
+# A JSON number in float form (with a fraction or an exponent), ASCII digits
+# only: float() of its text is the float json.loads gives for it.
+_FLOAT_TEXT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _entry_pattern(gamma: float, orders: tuple[int, ...]) -> re.Pattern:
+    """``_entry_template`` as a pattern: the lines ``_encode_entry`` writes.
+
+    It also matches other float-form numbers and any source word.  Its id is
+    a JSON string without escapes or control characters, so the captured
+    text is the id itself.  Groups: alpha and source per order, q bound, id.
+    """
+    return re.compile(re.escape(_entry_template(gamma, orders))
+                      .replace('"%s"', '"([A-Za-z]+)"')
+                      .replace("%s", r'"([^"\\\x00-\x1f]*)"')
+                      .replace("%r", _FLOAT_TEXT))
 
 
 def _parse_ledger_entry(path, line_no: int, obj, ledger: PrivacyLedger, bounds) -> str:
@@ -195,14 +231,20 @@ def _parse_ledger_entry(path, line_no: int, obj, ledger: PrivacyLedger, bounds) 
             raise ValueError(f"ledger gamma is {ledger.gamma!r}, entry has gamma {gamma!r}")
         if orders != ledger.lambda_grid.values:
             raise ValueError(f"ledger grid is {ledger.lambda_grid.values}, entry has {orders}")
-        ledger.append(query_id, q_bound, alphas)
-        for order, source, derived in zip(orders, sources, _sources(ledger.alphas[-1], bounds)):
-            if source != derived:
-                raise ValueError(f"source {source!r} at lambda {order} disagrees with its "
-                                 f"alpha, which gives {derived!r}")
+        _append_entry(ledger, bounds, query_id, q_bound, alphas, orders, sources)
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
     return query_id
+
+
+def _append_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas, orders,
+                  sources) -> None:
+    """``ledger.append`` an entry; ValueError where a stored source disagrees."""
+    ledger.append(query_id, q_bound, alphas)
+    for order, source, derived in zip(orders, sources, _sources(ledger.alphas[-1], bounds)):
+        if source != derived:
+            raise ValueError(f"source {source!r} at lambda {order} disagrees with its "
+                             f"alpha, which gives {derived!r}")
 
 
 def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
@@ -248,13 +290,26 @@ def read_ledger(path) -> PrivacyLedger:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
         bounds = _independent_bounds(ledger)
+        orders = ledger.lambda_grid.values
+        pattern = _entry_pattern(ledger.gamma, orders)
         seen: dict[str, int] = {}
         for line_no, line in lines:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            query_id = _parse_ledger_entry(path, line_no, obj, ledger, bounds)
+            match = pattern.fullmatch(line)
+            if match is None:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
+                query_id = _parse_ledger_entry(path, line_no, obj, ledger, bounds)
+            else:
+                # Gamma and the orders are the header's; the checks are those
+                # of _parse_ledger_entry from here on.
+                *slots, q_bound, query_id = match.groups()
+                try:
+                    _append_entry(ledger, bounds, query_id, float(q_bound),
+                                  tuple(map(float, slots[::2])), orders, slots[1::2])
+                except ValueError as exc:
+                    raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
             _check_unique(path, line_no, query_id, seen)
     return ledger
 

@@ -212,6 +212,28 @@ class TestDataDependentMoment:
         for q in (1e-300, 1e-12, 1e-4):
             assert data_dependent_moment(q, 0.05, 1) >= 0.0
 
+    @staticmethod
+    def uncached(q, gamma, order):
+        """The closed form in log space, every term computed at each call."""
+        log_q = math.log(q)
+        denom = -math.expm1(2.0 * gamma + log_q)
+        log_first = (order + 1) * math.log1p(-q) - order * math.log(denom)
+        log_second = log_q + 2.0 * gamma * order
+        a, b = min(log_first, log_second), max(log_first, log_second)
+        return max(0.0, b + math.log1p(math.exp(a - b)))
+
+    @given(fraction=st.floats(min_value=1e-300, max_value=0.99),
+           value=st.sampled_from([0.05, 1.0, 3.0]),
+           orders=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
+    def test_cached_terms_are_bit_identical(self, fraction, value, orders):
+        # One q at a gamma of one value but several types: numpy's float32
+        # arithmetic rounds otherwise, so no call may reuse another's terms.
+        q = fraction * q_threshold(value)
+        for gamma in (value, np.float32(value), np.float64(value), int(value) or value, value):
+            for order in orders:
+                assert repr(data_dependent_moment(q, gamma, order)) == repr(
+                    self.uncached(q, gamma, order))
+
 
 class TestThm3Monotonicity:
     """The data-dependent bound is non-decreasing in q over its domain."""
@@ -276,6 +298,9 @@ class TestQueryMoment:
     def test_valid(self):
         assert self.make().alphas == [(0.01, 0.03)]
 
+    def test_alphas_whose_sum_overflows_are_valid(self):
+        assert self.make(alphas=(1e308, 1e308)).alphas == [(1e308, 1e308)]
+
     @pytest.mark.parametrize("changes", [
         dict(orders=(0, 1)),
         dict(alphas=(0.01, -1e-3)),
@@ -293,6 +318,10 @@ class TestQueryMoment:
         dict(alphas=(-math.inf, 0.03)),
         dict(q_bound=math.inf),
         dict(q_bound=-0.5),
+        dict(orders=(1, 2, 3), alphas=(0.01, math.nan, 0.05)),  # min and max skip it
+        dict(q_bound=math.nan),
+        dict(alphas=(0.01, 10**400)),
+        dict(q_bound=-(10**400)),
     ])
     def test_invalid(self, changes):
         with pytest.raises(ValueError):

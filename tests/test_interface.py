@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +384,120 @@ class TestEncoders:
         assert path.read_bytes() == written
 
 
+def canonical_lines(ledger: PrivacyLedger) -> list[str]:
+    header = formats._dump(formats.provenance(ledger.gamma, ledger.lambda_grid, ledger.seed))
+    return [header, *encoded_entries(ledger)]
+
+
+def read_outcome(path: Path) -> str:
+    """The ledger ``read_ledger`` gives, bit for bit, or its error message."""
+    try:
+        ledger = read_ledger(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return repr((ledger.gamma, ledger.lambda_grid, ledger.seed, ledger.query_ids,
+                 ledger.q_bounds, ledger.alphas))
+
+
+RAW = "@raw@"  # stands for a literal spliced into the dumped line
+
+
+def set_alpha(text):
+    return lambda obj, k: obj["moments"][k].update(alpha=RAW) or text
+
+
+def set_q_bound(text):
+    return lambda obj, k: obj.update(q_bound=RAW) or text
+
+
+def set_query_id(query_id):
+    return lambda obj, k: obj.update(query_id=query_id)
+
+
+def swap_source(obj, k):
+    moment = obj["moments"][k]
+    moment["source"] = {"DataDependent": "DataIndependent"}.get(moment["source"],
+                                                                "DataDependent")
+
+
+# One-field edits of a canonical ledger line.  Each returns the literal that
+# replaces RAW, if it set one.
+LINE_EDITS = {
+    "negative-alpha": set_alpha("-0.5"),
+    "alpha-1e999": set_alpha("1e999"),
+    "integer-alpha": set_alpha("3"),
+    "huge-integer-alpha": set_alpha("1" + "0" * 400),
+    "minus-zero-alpha": set_alpha("-0.0"),
+    "exponent-alpha": set_alpha("25E-1"),
+    "q-bound-above-one": set_q_bound("1.5"),
+    "integer-q-bound": set_q_bound("0"),
+    "swapped-source": swap_source,
+    "unknown-source": lambda obj, k: obj["moments"][k].update(source="Unknown"),
+    "backslash-id": set_query_id("a\\b"),
+    "e-acute-id": set_query_id("\u00e9"),
+    "control-character-id": set_query_id("a\x01b"),
+    "float-lambda": lambda obj, k: obj["moments"][k].update({"lambda": float(
+        obj["moments"][k]["lambda"])}),
+}
+
+
+class TestLedgerReadPaths:
+    """Canonical lines skip json.loads; the pattern path and the JSON path agree."""
+
+    @staticmethod
+    def json_only(path: Path) -> str:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_entry_pattern", lambda *args: re.compile("(?!)"))
+            return read_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger=ledgers().filter(len), plain_ids=st.booleans(), data=st.data(),
+           edit=st.sampled_from([*LINE_EDITS, "repeated-line", "raw-control-character-id",
+                                 "spaces", "none"]))
+    def test_paths_agree_on_one_field_edits(self, tmp_path_factory, ledger, plain_ids, data,
+                                            edit):
+        if plain_ids:  # ids that need no escape, so that their lines match the pattern
+            plain = PrivacyLedger(gamma=ledger.gamma, lambda_grid=ledger.lambda_grid,
+                                  seed=ledger.seed)
+            for i, entry in enumerate(zip(ledger.q_bounds, ledger.alphas)):
+                plain.append(f"q{i}", *entry)
+            ledger = plain
+        lines = canonical_lines(ledger)
+        index = data.draw(st.integers(1, len(ledger)), label="line")
+        k = data.draw(st.integers(0, len(ledger.lambda_grid.values) - 1), label="order")
+        obj = json.loads(lines[index])
+        if edit == "repeated-line":  # a duplicate id
+            lines.append(lines[index])
+        elif edit == "raw-control-character-id":
+            lines[index] = lines[index].replace('"query_id":"', '"query_id":"\x01', 1)
+        elif edit == "spaces":
+            lines[index] = json.dumps(obj, sort_keys=True)
+        elif edit != "none":
+            raw = LINE_EDITS[edit](obj, k)
+            lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                      ensure_ascii=False)
+            if raw is not None:
+                lines[index] = lines[index].replace(f'"{RAW}"', raw)
+        path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+        write(path, "\n".join(lines) + "\n")
+        assert read_outcome(path) == self.json_only(path)
+
+    @pytest.mark.parametrize("gamma, lambda_max", [(0.05, 8), (0.3, 12)])
+    def test_canonical_lines_parse_without_json(self, tmp_path, monkeypatch, gamma,
+                                                lambda_max):
+        ledger = tmp_path / "ledger.jsonl"
+        assert main(["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", str(gamma),
+                     "--lambda-max", str(lambda_max), "--labels-out",
+                     str(tmp_path / "labels.jsonl"), "--ledger-out", str(ledger)]) == 0
+        loads, texts = json.loads, []
+        monkeypatch.setattr(formats.json, "loads",
+                            lambda text, **kw: texts.append(text) or loads(text, **kw))
+        for path in (DATA / "expected_ledger.jsonl", ledger):
+            texts.clear()
+            assert len(read_ledger(path)) == 100
+            assert texts == [path.read_text().splitlines()[0]]  # the header alone
+
+
 class TestImportCost:
     @staticmethod
     def run_python(code: str) -> str:
@@ -549,6 +664,28 @@ class TestCliAggregateAccount:
         assert [json.loads(line)["query_id"] for line in label_lines[1:]] == ids
         assert ids == read_votes(DATA / "votes_100.jsonl")[0]
 
+    @pytest.mark.parametrize("spelling", ["same-path", "relative-and-absolute",
+                                          "hard-link"])
+    def test_one_file_for_both_outputs_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                 spelling):
+        monkeypatch.chdir(tmp_path)
+        ledger, labels = tmp_path / "out.jsonl", "out.jsonl"
+        if spelling == "same-path":
+            labels = str(ledger)
+        elif spelling == "hard-link":
+            write(ledger, "old ledger\n")
+            labels = tmp_path / "labels.jsonl"
+            os.link(ledger, labels)
+        assert self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
+                        "--labels-out", labels, "--ledger-out", ledger) == 1
+        assert capsys.readouterr().err == (
+            f"error: --labels-out and --ledger-out name the same file: {ledger}\n")
+        if spelling == "hard-link":
+            assert ledger.read_text() == "old ledger\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.jsonl", "out.jsonl"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_empty_votes_warns_and_succeeds(self, tmp_path, capsys):
         votes = write(tmp_path / "votes.jsonl", "")
         assert self.run("aggregate", votes, "--gamma", "0.05",
@@ -662,6 +799,17 @@ class TestCliOverflow:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         assert not labels.exists() and not ledger.exists()
+
+    @pytest.mark.parametrize("field", ["alpha", "q_bound"])
+    def test_account_exits_one_on_an_integer_beyond_floats(self, tmp_path, capsys, field):
+        def edit(obj):
+            (obj["moments"][0] if field == "alpha" else obj)[field] = 10**400
+
+        path = edit_ledger_line(tmp_path / "ledger.jsonl", 1, edit)
+        assert main(["account", str(path), "--delta", "1e-5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: malformed ledger entry: '{field}' must be finite and "
+            "non-negative, got inf\n")
 
 
 class TestCliSimulate:
