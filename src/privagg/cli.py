@@ -158,12 +158,23 @@ def _make_config(args) -> EnsembleConfig:
         seed=args.seed)
 
 
+def _parse_gammas(text: str) -> list[float]:
+    """The comma-separated ``--gammas`` items as floats; a bad item is named."""
+    grid = []
+    for i, item in enumerate(text.split(","), 1):
+        try:
+            grid.append(float(item))
+        except ValueError:
+            raise ValueError(f"--gammas item {i} is not a number: {item!r}") from None
+    return grid
+
+
 def _cmd_simulate(args) -> int:
     config = _make_config(args)
     if args.mode == "sweep":
         if not args.gammas:
             raise ValueError("--gammas is required for --mode sweep")
-        grid = [float(g) for g in args.gammas.split(",")]
+        grid = _parse_gammas(args.gammas)
         result = sweep_gamma(config, grid)
         header = {
             "format_version": FORMAT_VERSION, "seed": config.seed,
@@ -334,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # a size too large to allocate, such as --n 10**16
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

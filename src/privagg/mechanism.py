@@ -153,11 +153,17 @@ def _laplace_quantile(u, b: float):
     The one noise transform in the package; every Laplace draw goes through it.
     """
     # b*log(2u) below 0.5 and -b*log(2(1-u)) from 0.5 up, bit for bit: min()
-    # picks the operand each branch uses (1-u is exact there), and negating
-    # the product equals multiplying by -b.
+    # picks the operand each branch uses (1-u is exact there), and the log L
+    # is <= 0, so -b * copysign(L, 0.5 - u) is b*L below 0.5 and -b*L above
+    # (a product only changes sign with an operand).  At u = 0.5, L and
+    # 0.5 - u are +0.0 and the result is -0.0, as -b*log(1.0) is.
     import numpy as np
-    x = b * np.log(2.0 * np.minimum(u, 1.0 - u))
-    np.negative(x, out=x, where=u >= 0.5)
+    x = 1.0 - u
+    np.minimum(u, x, out=x)
+    x *= 2.0
+    np.log(x, out=x)
+    np.copysign(x, 0.5 - u, out=x)
+    x *= -b
     return x
 
 
@@ -168,13 +174,14 @@ def laplace_inverse_cdf(u: float, b: float) -> float:
     mechanism applies to its seeded uniform stream, so a scalar call
     reproduces a mechanism draw bit for bit.
 
-    Raises ValueError unless 0 < u < 1 and b > 0.
+    Raises ValueError unless 0 < u < 1 and b is a positive finite real
+    (not a bool).
     """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
-    if not b > 0.0:
-        raise ValueError(f"scale b must be positive, got {b!r}")
+    if isinstance(b, bool) or not 0.0 < b < math.inf:
+        raise ValueError(f"scale b must be positive and finite, got {b!r}")
     import numpy as np
     return float(_laplace_quantile(np.array([u]), b)[0])
 
@@ -188,7 +195,9 @@ def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     depend on draw values.
     """
     import numpy as np
-    return _laplace_quantile(np.maximum(rng.random(size), _MIN_UNIFORM), b)
+    u = rng.random(size)
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    return _laplace_quantile(u, b)
 
 
 def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
@@ -203,12 +212,13 @@ def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
     Ties after perturbation (possible only through finite precision) break
     toward the smallest class index.
     """
-    import numpy as np
     if rng is None:
         rng = derive_rng(params.seed, MECHANISM_NOISE, 0)
     noise = _draw_noise(rng, params.scale, hist.num_classes)
-    noise += np.asarray(hist.counts, dtype=float)
-    return int(np.argmax(noise))
+    # The counts are added as float64 in place; every count is at most 2^53,
+    # so each converts exactly.
+    noise += hist.counts
+    return int(noise.argmax())
 
 
 def noisy_labels(hists, params: MechanismParams, *stream: int) -> list[int]:

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .mechanism import VoteHistogram, _draw_noise
+from .mechanism import VoteHistogram, _draw_noise, _gamma
 from .seeding import derive_rng, MECHANISM_NOISE
 
 MAX_CLASSES = 16
@@ -269,13 +269,16 @@ def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
 def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistribution:
     """Exact noisy-argmax outcome distribution for one histogram.
 
-    Raises UnsupportedSizeError beyond m = 16 classes or n = 10^4 votes.
+    Raises UnsupportedSizeError beyond m = 16 classes or n = 10^4 votes, and
+    ValueError for a gamma that ``MechanismParams`` would refuse.
     """
-    # b = 1/gamma must be a finite positive scale: at gamma = inf the
-    # quadrature's pieces would never grow, and NaN compares false.
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-    return _outcome_distribution(hist.counts, float(gamma))
+    # mechanism._gamma's rule: at gamma = inf the quadrature's pieces would
+    # never grow, and at a b = 1/gamma of inf every piece is NaN.  A verify
+    # round calls this per histogram and gamma, so a plain float that passes
+    # skips the full check.
+    if not (type(gamma) is float and 0.0 < gamma < math.inf and 1.0 / gamma < math.inf):
+        gamma = _gamma(gamma)
+    return _outcome_distribution(hist.counts, gamma)
 
 
 def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
@@ -287,8 +290,7 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
     vectorized in chunks; ``trials=1`` therefore reproduces a single
     mechanism invocation for the same seed.
     """
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    gamma = _gamma(gamma)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     import numpy as np

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,21 +93,28 @@ def synth_query_votes(config: EnsembleConfig, true_label: int,
     ``teacher_accuracy``; otherwise UniformConfusion picks uniformly among
     the other m-1 classes and AdjacentConfusion picks (label +/- 1) mod m
     with equal odds.
+
+    Draws ``rng.random(n)``, then one offset per wrong vote only when some
+    vote is wrong; only the wrong votes are tallied.
     """
-    if not 0 <= true_label < config.m:
-        raise ValueError(f"true_label out of range [0, {config.m}): {true_label}")
+    # A float label would reach the integer offsets below.
+    if not (isinstance(true_label, numbers.Integral) and 0 <= true_label < config.m):
+        raise ValueError(f"true_label must be an integer in [0, {config.m}), "
+                         f"got {true_label!r}")
     import numpy as np
-    votes = np.full(config.n, true_label, dtype=np.int64)
-    wrong = rng.random(config.n) >= config.teacher_accuracy
-    num_wrong = int(np.count_nonzero(wrong))
+    num_wrong = int(np.count_nonzero(rng.random(config.n) >= config.teacher_accuracy))
     if num_wrong:
         if config.error_model is ErrorModel.UNIFORM_CONFUSION:
             offsets = rng.integers(1, config.m, size=num_wrong)
         else:
             offsets = rng.integers(0, 2, size=num_wrong) * 2 - 1
-        votes[wrong] = (true_label + offsets) % config.m
-    counts = np.bincount(votes, minlength=config.m)
-    return VoteHistogram(tuple(int(c) for c in counts))
+        offsets += true_label
+        offsets %= config.m
+        counts = np.bincount(offsets, minlength=config.m).tolist()
+    else:
+        counts = [0] * config.m
+    counts[true_label] += config.n - num_wrong
+    return VoteHistogram(tuple(counts))
 
 
 def _query_stream(config: EnsembleConfig) -> tuple[list[int], list[VoteHistogram]]:

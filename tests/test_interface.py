@@ -868,6 +868,22 @@ class TestCliSimulate:
         assert main(["simulate", "--mode", "sweep",
                      "--output", str(tmp_path / "s.csv")]) == 1
 
+    def test_bad_gammas_item_is_named(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--mode", "sweep", "--gammas", "0.1,,0.2",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --gammas item 2 is not a number: ''\n"
+        assert not out.exists()
+
+    def test_size_beyond_memory_exits_one_without_output(self, tmp_path, capsys):
+        # numpy refuses the 10^16-element allocation at once; nothing is touched.
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--mode", "sweep", "--queries", "3", "--gammas", "0.1",
+                     "--m", "3", "--n", str(10**16), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCliVerify:
     def test_report_bytes_are_frozen(self, tmp_path, capsys):

@@ -20,6 +20,23 @@ from privagg.seeding import MECHANISM_NOISE, derive_rng
 from conftest import histograms
 
 
+@st.composite
+def argmax_counts(draw):
+    """Counts over 2 to 100 classes: small ones, an exact tie for the top
+    count, or exactly 2^53 votes in total."""
+    m = draw(st.integers(min_value=2, max_value=100))
+    kind = draw(st.sampled_from(("small", "tied", "max_total")))
+    if kind == "max_total":
+        rest = draw(st.lists(st.integers(0, 2**53 // 100), min_size=m - 1, max_size=m - 1))
+        return draw(st.permutations([2**53 - sum(rest)] + rest))
+    top = draw(st.integers(1, 300 if kind == "small" else 2**53 // 100))
+    counts = draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+    if kind == "tied":
+        for j in draw(st.sets(st.integers(0, m - 1), min_size=2)):
+            counts[j] = top
+    return counts if sum(counts) else [1] + counts[1:]
+
+
 class TestVoteHistogram:
     def test_valid(self):
         h = VoteHistogram((2, 1, 0))
@@ -148,6 +165,11 @@ class TestLaplaceInverseCdf:
         with pytest.raises(ValueError):
             laplace_inverse_cdf(u, 1.0)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf, True])
+    def test_scale_must_be_positive_finite_and_not_bool(self, b):
+        with pytest.raises(ValueError, match="scale b must be positive and finite"):
+            laplace_inverse_cdf(0.5, b)
+
     @given(u=st.floats(min_value=1e-9, max_value=1 - 1e-9),
            b=st.floats(min_value=1e-3, max_value=1e3))
     def test_round_trips_through_cdf(self, u, b):
@@ -195,6 +217,19 @@ class TestNoisyArgmax:
         for seed in range(20):
             params = MechanismParams(gamma=0.1, seed=seed)
             assert noisy_argmax(hist, params) == noisy_argmax(hist, params)
+
+    # At gamma = 1e-308 about one draw in six is ±inf; at 1e3 the noise is
+    # below the float spacing of large counts, so exact ties survive it.
+    @given(counts=argmax_counts(), gamma=st.sampled_from([1e-308, 1e-307, 0.05, 1e3]),
+           seed=st.integers(0, 2**32 - 1), i=st.integers(0, 10**6))
+    def test_bit_for_bit_against_the_reference(self, counts, gamma, seed, i):
+        u = np.maximum(derive_rng(seed, MECHANISM_NOISE, i).random(len(counts)), 2.0**-53)
+        with np.errstate(over="ignore"):
+            got = noisy_argmax(VoteHistogram(tuple(counts)),
+                               MechanismParams(gamma=gamma, seed=seed),
+                               rng=derive_rng(seed, MECHANISM_NOISE, i))
+            noise = TestLaplaceQuantile.reference(u, 1 / gamma)
+        assert got == int(np.argmax(np.asarray(counts, float) + noise))
 
     def test_distinct_seeds_vary(self):
         hist = VoteHistogram((5, 5))

@@ -260,9 +260,11 @@ class TestOutcomeDistribution:
         with pytest.raises(UnsupportedSizeError):
             outcome_distribution(VoteHistogram((1,) * 17), 0.1)
 
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e-320, True])
     def test_gamma_must_be_finite_and_positive(self, monkeypatch, gamma):
-        # A quadrature at gamma = inf never ends, so none may start.
+        # A quadrature at gamma = inf never ends, so none may start.  At
+        # gamma = 1e-320 the scale 1/gamma is inf and every noise draw is ±inf
+        # or NaN; True is refused as MechanismParams refuses it.
         def no_quadrature(*args):
             raise AssertionError("quadrature started")
 
@@ -273,7 +275,8 @@ class TestOutcomeDistribution:
                      lambda: mc_outcome_frequencies(hist, gamma, 10),
                      lambda: exact_moment(pair, gamma, 2),
                      lambda: empirical_eps(pair, gamma)):
-            with pytest.raises(ValueError, match="finite and positive"):
+            with pytest.raises(ValueError,
+                               match="gamma must be a positive finite real|1/gamma is not finite"):
                 call()
 
     @pytest.mark.parametrize("probs", [

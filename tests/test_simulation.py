@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -36,6 +37,21 @@ class TestEnsembleConfig:
             EnsembleConfig(**kwargs)
 
 
+def per_teacher_votes(config, true_label, rng):
+    """Reference: one vote per teacher, then a tally of all n votes."""
+    votes = np.full(config.n, true_label, dtype=np.int64)
+    wrong = rng.random(config.n) >= config.teacher_accuracy
+    num_wrong = int(np.count_nonzero(wrong))
+    if num_wrong:
+        if config.error_model is ErrorModel.UNIFORM_CONFUSION:
+            offsets = rng.integers(1, config.m, size=num_wrong)
+        else:
+            offsets = rng.integers(0, 2, size=num_wrong) * 2 - 1
+        votes[wrong] = (true_label + offsets) % config.m
+    counts = np.bincount(votes, minlength=config.m)
+    return tuple(int(c) for c in counts)
+
+
 class TestSynthQueryVotes:
     def test_perfect_teachers_vote_unanimously(self):
         config = EnsembleConfig(n=50, m=4, teacher_accuracy=1.0, queries=1)
@@ -68,8 +84,24 @@ class TestSynthQueryVotes:
 
     def test_label_out_of_range(self):
         config = EnsembleConfig(n=5, m=3, teacher_accuracy=0.9, queries=1)
-        with pytest.raises(ValueError):
-            synth_query_votes(config, 3, derive_rng(0))
+        for label in (3, -1, 2.0):
+            with pytest.raises(ValueError, match="true_label must be an integer in"):
+                synth_query_votes(config, label, derive_rng(0))
+
+    @pytest.mark.parametrize("error_model,m,n,accuracy", [
+        (error_model, m, n, accuracy)
+        for error_model in ErrorModel for m in (2, 3, 10) for n in (1, 7, 250)
+        for accuracy in (1.0, 0.5, math.nextafter(1.0 / m, 1.0)) if accuracy > 1.0 / m])
+    def test_counts_and_stream_match_per_teacher_votes(self, error_model, m, n, accuracy):
+        config = EnsembleConfig(n=n, m=m, teacher_accuracy=accuracy,
+                                error_model=error_model, queries=1)
+        for seed in range(30):
+            true_label = seed % m
+            rng, ref_rng = derive_rng(seed, 5), derive_rng(seed, 5)
+            hist = synth_query_votes(config, true_label, rng)
+            assert type(hist.counts[0]) is int
+            assert hist.counts == per_teacher_votes(config, true_label, ref_rng)
+            assert rng.random() == ref_rng.random()
 
 
 class TestSweepGamma:
