@@ -31,6 +31,10 @@ if TYPE_CHECKING:
 # transform; numpy's random() is [0, 1) and the transform needs (0, 1).
 _MIN_UNIFORM = 2.0 ** -53
 
+# The largest |log| the transform takes, at the smallest uniform: noise of
+# scale b reaches b times this, which must stay finite.
+_MAX_NOISE_LOG = -math.log(2.0 * _MIN_UNIFORM)
+
 _INT = {int}
 
 # Counts become float64 before noise is added, and above 2^53 different
@@ -83,7 +87,8 @@ class VoteHistogram:
 
 def _gamma(value) -> float:
     """``value`` as a float gamma, or ValueError unless it is a non-bool real,
-    positive and finite, whose Laplace scale 1/gamma is finite too.
+    positive and finite, whose Laplace scale 1/gamma is finite too, and
+    whose largest noise draw, (1/gamma)·|log(2^-52)|, is finite as well.
 
     The one gamma rule: ``MechanismParams`` and ``PrivacyLedger`` both apply it.
     """
@@ -98,6 +103,8 @@ def _gamma(value) -> float:
         raise ValueError(f"gamma must be a positive finite real, got {value!r}")
     if not math.isfinite(1.0 / g):
         raise ValueError(f"Laplace scale 1/gamma is not finite for gamma={value!r}")
+    if not math.isfinite(1.0 / g * _MAX_NOISE_LOG):
+        raise ValueError(f"Laplace noise (1/gamma)*|log(2^-52)| overflows for gamma={value!r}")
     return g
 
 

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .mechanism import VoteHistogram, _draw_noise, _gamma
+from .mechanism import _MAX_NOISE_LOG, VoteHistogram, _draw_noise, _gamma
 from .seeding import derive_rng, MECHANISM_NOISE
 
 MAX_CLASSES = 16
@@ -276,7 +276,8 @@ def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistributi
     # never grow, and at a b = 1/gamma of inf every piece is NaN.  A verify
     # round calls this per histogram and gamma, so a plain float that passes
     # skips the full check.
-    if not (type(gamma) is float and 0.0 < gamma < math.inf and 1.0 / gamma < math.inf):
+    if not (type(gamma) is float and 0.0 < gamma < math.inf
+            and 1.0 / gamma * _MAX_NOISE_LOG < math.inf):
         gamma = _gamma(gamma)
     return _outcome_distribution(hist.counts, gamma)
 

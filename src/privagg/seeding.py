@@ -16,13 +16,20 @@ raises ``ValueError``), pads the seed to four words when a path follows,
 and hashes the words one at a time into a four-word pool, advancing a hash
 constant by one multiply per hash.  The pool then yields eight 32-bit
 words, read as the four uint64 words that seed PCG64.  A batch of queries
-changes only the last path item, so ``_prefix`` caches, per
-(seed, path[:-1]), the pool numpy's own SeedSequence builds for that prefix
-and the hash constant its mixing leaves: INIT_A * MULT_A^(16 + 4w) mod 2^32
-for w words of path[:-1] (16 hashes fill and cross-mix the pool; each later
-word takes 4).  ``derive_rng`` then mixes in the words of path[-1] and
-derives the output words in plain Python integers, using numpy's constants.
-``tests/test_seeding.py`` checks the streams against SeedSequence.
+changes only the last path item, so the words are derived for a whole
+block at once: ``_block`` takes numpy's own SeedSequence pool for
+(seed, path[:-1]) and the hash constant its mixing leaves, INIT_A *
+MULT_A^(16 + 4w) mod 2^32 for w words of path[:-1] (16 hashes fill and
+cross-mix the pool; each later word takes 4).  It then mixes in the words
+of every last item base + r, r < 2^12, as uint32 array arithmetic, and
+derives the (2^12, 4) seed words, using numpy's constants.  ``base`` is a
+multiple of 2^12, so across a block only the lowest word of the last item
+changes; its higher words are base's, which is how items of 2^32 and up
+take the same path.  ``_block`` keeps the last few blocks, read-only, and
+``derive_rng`` seeds PCG64 with its row of one.  A path-less stream runs
+the same output stage, ``_seed_words``, on its one pool.  This is the
+package's one port of SeedSequence; ``tests/test_seeding.py`` checks the
+streams against SeedSequence itself.
 
 ``rng.bit_generator.seed_seq`` is therefore a fixed-words sequence that
 hands PCG64 its four seed words; unlike a SeedSequence it cannot spawn
@@ -67,17 +74,21 @@ _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _XSHIFT = 16
 
 
-def _output_keys() -> tuple[tuple[int, int], ...]:
-    """(hash constant before, after) for each of the 8 words that seed PCG64."""
-    keys, h = [], _INIT_B
-    for _ in range(8):
-        after = h * _MULT_B & _M32
-        keys.append((h, after))
-        h = after
-    return tuple(keys)
+# Last-path items whose seed words one ``_block`` derives; a power of two
+# that divides 2^32, so a block never carries into the item's second word.
+_BLOCK = 1 << 12
 
 
-_OUTPUT_KEYS = _output_keys()
+def _hash_keys(h: int, mult: int, n: int) -> tuple[list[int], list[int]]:
+    """The hash constant before and after each of ``n`` hashes starting at ``h``."""
+    keys = [h]
+    for _ in range(n):
+        keys.append(keys[-1] * mult & _M32)
+    return keys[:-1], keys[1:]
+
+
+# (before, after) hash constants of the 8 words that seed PCG64.
+_OUTPUT_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
 
 
 def _words(n: int) -> list[int]:
@@ -90,13 +101,56 @@ def _words(n: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=64)
-def _prefix(seed: int, head: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def _prefix(seed: int, head: tuple[int, ...]) -> tuple[list[int], int]:
     """Pool of SeedSequence(seed, spawn_key=head) and the hash constant after it."""
     import numpy as np
     pool = np.random.SeedSequence(seed, spawn_key=head).pool.tolist()
     hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * sum(len(_words(x)) for x in head)
-    return tuple(pool), _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32
+    return pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32
+
+
+def _seed_words(pool: np.ndarray) -> np.ndarray:
+    """The four uint64 PCG64 seed words of each row of an (R, 4) uint32 pool.
+
+    SeedSequence.generate_state(4, uint64): 32-bit word k hashes pool[k % 4]
+    with the k-th output key, and words 2j, 2j + 1 are read as uint64 j the
+    way numpy reads them on any platform, as little-endian halves.
+    """
+    import numpy as np
+    before, after = _OUTPUT_KEYS
+    v = np.concatenate((pool, pool), axis=1)
+    v ^= np.array(before, dtype=np.uint32)
+    v *= np.array(after, dtype=np.uint32)
+    v ^= v >> _XSHIFT
+    return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _block(seed: int, head: tuple[int, ...], base: int) -> np.ndarray:
+    """Read-only (_BLOCK, 4) seed words of the paths head + (base + r,), r < _BLOCK.
+
+    ``base`` is a multiple of _BLOCK, so only the lowest word of the last
+    item varies across the block; its higher words are base's.
+    """
+    import numpy as np
+    pool, h = _prefix(seed, head)
+    low, *high = _words(base)
+    pool = np.array(pool, dtype=np.uint32)
+    # SeedSequence's mix of each later entropy word: hash it once per pool
+    # slot, advancing h, and mix each hash into its slot.
+    for word in (np.arange(low, low + _BLOCK, dtype=np.uint32)[:, None], *high):
+        before, after = _hash_keys(h, _MULT_A, _POOL_SIZE)
+        h = after[-1]
+        value = word ^ np.array(before, dtype=np.uint32)
+        value *= np.array(after, dtype=np.uint32)
+        value ^= value >> _XSHIFT
+        value *= _MIX_MULT_R
+        pool = _MIX_MULT_L * pool - value
+        pool ^= pool >> _XSHIFT
+    words = _seed_words(pool)
+    # Every stream of the block is seeded from a view of this one array.
+    words.flags.writeable = False
+    return words
 
 
 @functools.cache
@@ -130,35 +184,11 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream identified by the integers (master_seed, *path)."""
     import numpy as np
     seed = operator.index(master_seed) & _U64
-    if not path:
-        pool, _ = _prefix(seed, ())
-    else:
+    if path:
         # Convert before the cache lookup: (0.0,) and (0,) are the same key.
         *head, last = map(operator.index, path)
-        pool, h = _prefix(seed, tuple(head))
-        # SeedSequence's mix of each later entropy word: hash it once per pool
-        # slot, advancing h, and mix each hash into its slot.
-        for word in _words(last):
-            mixed = []
-            for p in pool:
-                value = word ^ h
-                h = h * _MULT_A & _M32
-                value = value * h & _M32
-                x = _MIX_MULT_L * p - _MIX_MULT_R * (value ^ value >> _XSHIFT) & _M32
-                mixed.append(x ^ x >> _XSHIFT)
-            pool = mixed
-    # generate_state(4, uint64), unrolled: 32-bit word k hashes pool[k % 4]
-    # with the k-th output key, and words 2j, 2j + 1 are uint64 j's halves.
-    p0, p1, p2, p3 = pool
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = _OUTPUT_KEYS
-    v0, v1 = (p0 ^ a0) * b0 & _M32, (p1 ^ a1) * b1 & _M32
-    v2, v3 = (p2 ^ a2) * b2 & _M32, (p3 ^ a3) * b3 & _M32
-    v4, v5 = (p0 ^ a4) * b4 & _M32, (p1 ^ a5) * b5 & _M32
-    v6, v7 = (p2 ^ a6) * b6 & _M32, (p3 ^ a7) * b7 & _M32
-    words = np.array([
-        v0 ^ v0 >> _XSHIFT | (v1 ^ v1 >> _XSHIFT) << 32,
-        v2 ^ v2 >> _XSHIFT | (v3 ^ v3 >> _XSHIFT) << 32,
-        v4 ^ v4 >> _XSHIFT | (v5 ^ v5 >> _XSHIFT) << 32,
-        v6 ^ v6 >> _XSHIFT | (v7 ^ v7 >> _XSHIFT) << 32,
-    ], dtype=np.uint64)
+        base = last & -_BLOCK
+        words = _block(seed, tuple(head), base)[last - base]
+    else:
+        words = _seed_words(np.array([_prefix(seed, ())[0]], dtype=np.uint32))[0]
     return np.random.Generator(np.random.PCG64(_fixed_words_type()(words)))

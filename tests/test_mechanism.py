@@ -1,12 +1,16 @@
+import functools
 import math
 import numbers
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from privagg import (
+    LambdaGrid,
     MechanismParams,
+    PrivacyLedger,
     VoteHistogram,
     gap,
     laplace_inverse_cdf,
@@ -35,6 +39,28 @@ def argmax_counts(draw):
         for j in draw(st.sets(st.integers(0, m - 1), min_size=2)):
             counts[j] = top
     return counts if sum(counts) else [1] + counts[1:]
+
+
+@functools.cache
+def smallest_accepted_gamma() -> float:
+    """The least float gamma ``MechanismParams`` accepts, by bisection over
+    the bit patterns of the positive floats, which sort as the floats do."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def accepted(bits):
+        try:
+            MechanismParams(gamma=as_float(bits))
+        except ValueError:
+            return False
+        return True
+
+    refused, taken = 1, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    assert not accepted(refused) and accepted(taken)
+    while taken - refused > 1:
+        mid = (refused + taken) // 2
+        refused, taken = (refused, mid) if accepted(mid) else (mid, taken)
+    return as_float(taken)
 
 
 class TestVoteHistogram:
@@ -109,6 +135,20 @@ class TestMechanismParams:
     def test_invalid_gamma(self, gamma):
         with pytest.raises(ValueError):
             MechanismParams(gamma=gamma)
+
+    def test_gamma_whose_largest_noise_overflows_is_refused(self):
+        # Below this gamma, b * log(2^-52) passes the float range, so the
+        # transform would turn the smallest uniforms into infinite noise.
+        gamma = smallest_accepted_gamma()
+        assert 2.0e-307 < gamma < 2.01e-307
+        assert MechanismParams(gamma=gamma).gamma == gamma
+        assert PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2))).gamma == gamma
+        below = math.nextafter(gamma, 0.0)
+        for refuse in (lambda: MechanismParams(gamma=below),
+                       lambda: PrivacyLedger(gamma=below, lambda_grid=LambdaGrid((1, 2))),
+                       lambda: outcome_distribution(VoteHistogram((3, 1)), below)):
+            with pytest.raises(ValueError, match=r"overflows for gamma=2\.00"):
+                refuse()
 
     @pytest.mark.parametrize("seed", [2.9, 2.0, "7", True, None])
     def test_non_integer_seed_is_refused(self, seed):
@@ -218,13 +258,14 @@ class TestNoisyArgmax:
             params = MechanismParams(gamma=0.1, seed=seed)
             assert noisy_argmax(hist, params) == noisy_argmax(hist, params)
 
-    # At gamma = 1e-308 about one draw in six is ±inf; at 1e3 the noise is
-    # below the float spacing of large counts, so exact ties survive it.
-    @given(counts=argmax_counts(), gamma=st.sampled_from([1e-308, 1e-307, 0.05, 1e3]),
+    # At the smallest accepted gamma the noise nears the float range; at 1e3
+    # it is below the float spacing of large counts, so exact ties survive it.
+    @given(counts=argmax_counts(),
+           gamma=st.sampled_from([smallest_accepted_gamma(), 0.05, 1e3]),
            seed=st.integers(0, 2**32 - 1), i=st.integers(0, 10**6))
     def test_bit_for_bit_against_the_reference(self, counts, gamma, seed, i):
         u = np.maximum(derive_rng(seed, MECHANISM_NOISE, i).random(len(counts)), 2.0**-53)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="raise"):
             got = noisy_argmax(VoteHistogram(tuple(counts)),
                                MechanismParams(gamma=gamma, seed=seed),
                                rng=derive_rng(seed, MECHANISM_NOISE, i))

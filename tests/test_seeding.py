@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privagg.seeding import derive_rng
+from privagg.seeding import _BLOCK, derive_rng
 
 U64 = (1 << 64) - 1
 SEEDS = [-(2**70) - 3, -(2**64), -1, 0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5]
@@ -44,9 +44,40 @@ def test_no_path(seed):
 def test_each_edge_item_alone_and_as_a_batch_prefix(seed):
     for item in ITEMS:
         assert_same_stream(seed, [item])
-        # These share the prefix (item,), so the second reuses the cached pool.
+        # These share the prefix (item,), so the second reuses its block.
         assert_same_stream(seed, [item, 7])
         assert_same_stream(seed, [item, 2**40 + 9])
+
+
+# Around the edges of a block, and of the last item's first, second and
+# third 32-bit words.
+BLOCK_EDGES = [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80]
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1])
+@pytest.mark.parametrize("head", [(), (0,), (0, 3)])
+def test_block_edges(seed, head):
+    for item in BLOCK_EDGES:
+        assert_same_stream(seed, [*head, item])
+
+
+def test_consecutive_items_across_three_blocks():
+    # The order in which mechanism.noisy_labels walks one stream prefix.
+    for i in range(3 * _BLOCK):
+        words = derive_rng(21, 0, 2, i).bit_generator.seed_seq.words
+        expected = np.random.SeedSequence(21, spawn_key=(0, 2, i)).generate_state(4, np.uint64)
+        assert words.tolist() == expected.tolist(), i
+
+
+def test_block_words_cannot_be_written():
+    rng = derive_rng(5, 0, 7)
+    with pytest.raises(ValueError, match="read-only"):
+        rng.bit_generator.seed_seq.words[0] = 1
+    # A later stream of the same block still matches, and pickles.
+    assert_same_stream(5, [0, 7])
+    later = derive_rng(5, 0, 8)
+    assert_same_stream(5, [0, 8])
+    assert pickle.loads(pickle.dumps(later)).random(8).tobytes() == later.random(8).tobytes()
 
 
 def test_numpy_integer_items_match_python_ints():
