@@ -20,7 +20,6 @@ from .accountant import (
     compose,
     data_dependent_moment,
     data_independent_moment,
-    delta_for_eps,
     eps_for_delta,
     moments_guarantee,
     per_query_moment,
@@ -32,7 +31,6 @@ from .mechanism import (
     MechanismParams,
     VoteHistogram,
     gap,
-    laplace_inverse_cdf,
     noisy_argmax,
     noisy_labels,
     plurality,
@@ -79,13 +77,11 @@ __all__ = [
     "compose",
     "data_dependent_moment",
     "data_independent_moment",
-    "delta_for_eps",
     "empirical_eps",
     "enumerate_neighbors",
     "eps_for_delta",
     "exact_moment",
     "gap",
-    "laplace_inverse_cdf",
     "mc_outcome_frequencies",
     "moments_guarantee",
     "noisy_argmax",

@@ -95,6 +95,12 @@ def _finite_nonnegative(name: str, value) -> float:
     return value
 
 
+def _check_delta(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless 0 < ``value`` < 1: the one delta rule."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
 @dataclass
 class PrivacyLedger:
     """Append-only columnar log of booked queries; the composition source of truth.
@@ -165,8 +171,7 @@ class Guarantee:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
         if self.epsilon == math.inf:
             raise ValueError(f"{self.method.value} epsilon is not finite: {self.epsilon!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
+        _check_delta("delta", self.delta)
 
 
 def data_independent_moment(gamma: float, order: int) -> float:
@@ -181,20 +186,16 @@ def data_independent_moment(gamma: float, order: int) -> float:
     return 2.0 * gamma * gamma * order * (order + 1)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def q_threshold(gamma: float) -> float:
     """Validity boundary (e^{2g} - 1)/(e^{4g} - 1) for the data-dependent bound.
 
     The data-dependent bound applies only to queries whose q stays strictly
     below this value.  Tends to 1/2 as gamma -> 0 and falls toward 0 for
     large gamma.  Raises ValueError once e^{4g} leaves the float range
-    (gamma above about 177).
+    (gamma above about 177).  Computed once per gamma (see
+    ``_order_free_terms``).
     """
-    return _threshold(gamma)
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _threshold(gamma: float) -> float:
-    """``q_threshold``, computed once per gamma (see ``_order_free_terms``)."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     try:
@@ -261,7 +262,7 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    threshold = _threshold(gamma)
+    threshold = q_threshold(gamma)
     if q >= threshold:
         raise ValueError(
             f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
@@ -280,7 +281,7 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
 # with one (q, gamma), so the terms that do not depend on the order are
 # computed once per query.  ``typed`` keeps a numpy gamma apart from an equal
 # float, so every result is the float the uncached expression gives.  Like
-# ``_threshold``, this cache calls no public function: a traced run counts
+# ``q_threshold``, this cache calls no public function: a traced run counts
 # the same calls in every round.
 @functools.lru_cache(maxsize=1, typed=True)
 def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float]:
@@ -315,7 +316,7 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     quantities.
     """
     qb = q_upper_bound(hist, gamma)
-    usable = qb < _threshold(gamma)
+    usable = qb < q_threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
     alphas = []
     for order in grid.values:
@@ -367,8 +368,7 @@ def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:
     """
     if not totals:
         raise ValueError("totals must be non-empty")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    _check_delta("delta", delta)
     log_inv_delta = -math.log(delta)
     best_eps, best_order = math.inf, None
     for order in sorted(totals):
@@ -382,21 +382,6 @@ def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:
                      method=GuaranteeMethod.MOMENTS, argmin_lambda=best_order)
 
 
-def delta_for_eps(totals: Mapping[int, float], epsilon: float) -> float:
-    """Tail-bound failure probability at a target epsilon.
-
-        delta = min_l exp( alpha_total(l) - l * epsilon ),  clamped to <= 1.
-    """
-    if not totals:
-        raise ValueError("totals must be non-empty")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
-    best = min(totals[order] - order * epsilon for order in totals)
-    if best >= 0.0:
-        return 1.0
-    return math.exp(best)
-
-
 def strong_composition_eps(gamma: float, num_queries: int, delta: float) -> Guarantee:
     """Closed-form strong-composition guarantee over ``num_queries`` queries.
 
@@ -408,8 +393,7 @@ def strong_composition_eps(gamma: float, num_queries: int, delta: float) -> Guar
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     if num_queries < 0:
         raise ValueError(f"num_queries must be >= 0, got {num_queries}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    _check_delta("delta", delta)
     t = float(num_queries)
     eps = 4.0 * t * gamma * gamma + 2.0 * gamma * math.sqrt(2.0 * t * math.log(1.0 / delta))
     return Guarantee(epsilon=eps, delta=delta,

@@ -21,7 +21,7 @@ import os
 import sys
 
 from .accountant import LambdaGrid, PrivacyLedger, book, compose, eps_for_delta
-from .accountant import moments_guarantee, strong_composition_eps
+from .accountant import _check_delta, moments_guarantee, strong_composition_eps
 from .formats import (
     FileFormatError,
     FORMAT_VERSION,
@@ -108,11 +108,6 @@ def _emit_json(obj: dict, output, note: str) -> None:
         sys.stdout.write(dump_json(obj))
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"--delta must lie strictly inside (0, 1), got {delta}")
-
-
 def _same_file(a, b) -> bool:
     if os.path.exists(a) and os.path.exists(b):
         return os.path.samefile(a, b)  # also sees hard links
@@ -144,7 +139,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_account(args) -> int:
-    _check_delta(args.delta)
+    _check_delta("--delta", args.delta)
     ledger = read_ledger(args.ledger)
     _emit_json(account_obj(ledger, args.delta), args.output,
                f"guarantee for {len(ledger)} queries -> {args.output}")
@@ -188,7 +183,7 @@ def _cmd_simulate(args) -> int:
     else:
         if args.gamma is None:
             raise ValueError("--gamma is required for --mode budget")
-        _check_delta(args.delta)
+        _check_delta("--delta", args.delta)
         ledger, accuracy = budget_report(config, args.gamma,
                                          grid=LambdaGrid.up_to(args.lambda_max))
         write_json(args.output, budget_report_obj(ledger, accuracy, args.delta, config))

@@ -174,25 +174,6 @@ def _laplace_quantile(u, b: float):
     return x
 
 
-def laplace_inverse_cdf(u: float, b: float) -> float:
-    """Quantile function of the Laplace distribution with location 0, scale b.
-
-    Returns the x with CDF(x) = u, computed by the same transform the
-    mechanism applies to its seeded uniform stream, so a scalar call
-    reproduces a mechanism draw bit for bit.
-
-    Raises ValueError unless 0 < u < 1 and b is a positive finite real
-    (not a bool).
-    """
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
-    if isinstance(b, bool) or not 0.0 < b < math.inf:
-        raise ValueError(f"scale b must be positive and finite, got {b!r}")
-    import numpy as np
-    return float(_laplace_quantile(np.array([u]), b)[0])
-
-
 def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     """Vector of Laplace(0, b) draws via the inverse-CDF transform.
 
@@ -208,19 +189,17 @@ def _draw_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
 
 
 def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
-                 rng: np.random.Generator | None = None) -> int:
+                 rng: np.random.Generator) -> int:
     """Release the index of the largest noise-perturbed vote count.
 
-    One fresh Laplace(0, 1/gamma) draw is added per class, in class-index
-    order.  When ``rng`` is omitted a generator is derived from
-    ``params.seed``, making the call a pure function of (hist, params);
-    callers answering many queries pass their own per-query stream.
+    One fresh Laplace(0, 1/gamma) draw from ``rng`` is added per class, in
+    class-index order.  Every released label needs a stream of its own, so
+    there is no default: ``noisy_labels`` derives query i's stream from
+    ``params.seed``, and ``seeding`` lists the paths.
 
     Ties after perturbation (possible only through finite precision) break
     toward the smallest class index.
     """
-    if rng is None:
-        rng = derive_rng(params.seed, MECHANISM_NOISE, 0)
     noise = _draw_noise(rng, params.scale, hist.num_classes)
     # The counts are added as float64 in place; every count is at most 2^53,
     # so each converts exactly.

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .mechanism import _MAX_NOISE_LOG, VoteHistogram, _draw_noise, _gamma
+from .mechanism import VoteHistogram, _draw_noise, _gamma
 from .seeding import derive_rng, MECHANISM_NOISE
 
 MAX_CLASSES = 16
@@ -269,16 +269,21 @@ def _graded_quadrature(kinks, reps, gamma: float) -> list[float]:
 def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistribution:
     """Exact noisy-argmax outcome distribution for one histogram.
 
-    Raises UnsupportedSizeError beyond m = 16 classes or n = 10^4 votes, and
-    ValueError for a gamma that ``MechanismParams`` would refuse.
+    Raises UnsupportedSizeError beyond m = 16 classes or n = 10^4 votes or
+    where the integration range 40/gamma overflows, and ValueError for a
+    gamma that ``MechanismParams`` would refuse.
     """
     # mechanism._gamma's rule: at gamma = inf the quadrature's pieces would
     # never grow, and at a b = 1/gamma of inf every piece is NaN.  A verify
-    # round calls this per histogram and gamma, so a plain float that passes
-    # skips the full check.
+    # round calls this per histogram and gamma, so a plain float whose
+    # range is finite, which implies that rule, skips the full check.
     if not (type(gamma) is float and 0.0 < gamma < math.inf
-            and 1.0 / gamma * _MAX_NOISE_LOG < math.inf):
+            and _TAIL_SCALE_UNITS / gamma < math.inf):
         gamma = _gamma(gamma)
+        if not _TAIL_SCALE_UNITS / gamma < math.inf:
+            raise UnsupportedSizeError(
+                f"quadrature oracle needs a finite range {_TAIL_SCALE_UNITS:g}/gamma, "
+                f"got gamma={gamma!r}")
     return _outcome_distribution(hist.counts, gamma)
 
 
@@ -288,8 +293,8 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
 
     Consumes the uniform stream exactly as ``trials`` sequential
     ``noisy_argmax`` calls would (one draw per class in class order), but
-    vectorized in chunks; ``trials=1`` therefore reproduces a single
-    mechanism invocation for the same seed.
+    vectorized in chunks.  It draws from (seed, 0, 0), the stream of
+    ``aggregate``'s query 0, so ``trials=1`` replays that query's label.
     """
     gamma = _gamma(gamma)
     if trials < 1:

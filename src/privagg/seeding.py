@@ -46,7 +46,8 @@ Mechanism noise paths; batches are drawn only by ``mechanism.noisy_labels``:
     (0, i)       query i of ``cli.aggregate_votes`` (``aggregate``)
     (0, 0, i)    query i of ``simulation.budget_report`` (``simulate --mode budget``)
     (0, gi, i)   query i at the gi-th gamma of ``simulation.sweep_gamma``
-    (0, 0)       a lone ``noisy_argmax`` call given no rng
+    (0, 0)       the trials of ``oracle.mc_outcome_frequencies``; the stream
+                 of ``aggregate``'s query 0, so one trial replays its label
 """
 from __future__ import annotations
 
@@ -101,9 +102,28 @@ def _words(n: int) -> list[int]:
     return words
 
 
+class _FixedWords:
+    """ISeedSequence that hands PCG64 its four precomputed uint64 seed words.
+
+    ``_prefix``, which every stream's derivation runs, registers it with
+    numpy's ``ISeedSequence``, so importing this module loads no numpy.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype="uint32"):
+        if n_words != 4 or self.words.dtype != dtype:
+            raise ValueError("a fixed-words seed sequence holds exactly 4 uint64 words")
+        return self.words
+
+
 def _prefix(seed: int, head: tuple[int, ...]) -> tuple[list[int], int]:
     """Pool of SeedSequence(seed, spawn_key=head) and the hash constant after it."""
     import numpy as np
+    np.random.bit_generator.ISeedSequence.register(_FixedWords)  # a no-op once done
     pool = np.random.SeedSequence(seed, spawn_key=head).pool.tolist()
     hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * sum(len(_words(x)) for x in head)
     return pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32
@@ -153,33 +173,6 @@ def _block(seed: int, head: tuple[int, ...], base: int) -> np.ndarray:
     return words
 
 
-@functools.cache
-def _fixed_words_type() -> type:
-    """ISeedSequence that hands PCG64 its four precomputed uint64 seed words."""
-    import numpy as np
-
-    class _FixedWords(np.random.bit_generator.ISeedSequence):
-        __qualname__ = "_FixedWords"  # pickle finds it through __getattr__
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-                raise ValueError("a fixed-words seed sequence holds exactly 4 uint64 words")
-            return self.words
-
-    _FixedWords.__module__ = __name__
-    return _FixedWords
-
-
-def __getattr__(name: str):
-    if name == "_FixedWords":
-        return _fixed_words_type()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream identified by the integers (master_seed, *path)."""
     import numpy as np
@@ -191,4 +184,4 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
         words = _block(seed, tuple(head), base)[last - base]
     else:
         words = _seed_words(np.array([_prefix(seed, ())[0]], dtype=np.uint32))[0]
-    return np.random.Generator(np.random.PCG64(_fixed_words_type()(words)))
+    return np.random.Generator(np.random.PCG64(_FixedWords(words)))

