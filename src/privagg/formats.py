@@ -19,9 +19,11 @@ Every line of a ledger or label file is exactly the bytes of
 Each moment of a ledger entry carries a ``source``: "DataDependent" where
 its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 "DataIndependent" otherwise.  Writers derive it from the alpha, and readers
-reject a stored source that disagrees.  The ledger reader takes those
-canonical entry lines apart with one pattern per ledger and hands every
-other line to ``json``, with the same checks and messages either way.
+reject a stored source that disagrees.  A data-independent entry (every
+alpha at its bound) is the ledger's constant bound row text, built once per
+file, then its q bound and id.  The reader parses other canonical lines with
+one pattern per ledger and hands every other line to ``json``, with the
+same checks and messages on every path.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -187,18 +190,36 @@ def _encode_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas) -> s
             % (*slots, q_bound, encode_basestring_ascii(query_id)))
 
 
+def _bound_row_head(ledger: PrivacyLedger, bounds) -> str | None:
+    """Text of an entry whose alphas are ``bounds``, up to ``"q_bound":``;
+    None where a bound is 0 (-0.0 equals it) or inf (no JSON number)."""
+    head, key, _ = _encode_entry(ledger, bounds, "", 0.0, bounds).rpartition('"q_bound":')
+    return head + key if 0.0 < min(bounds) <= max(bounds) < math.inf else None
+
+
+def _entry_lines(ledger: PrivacyLedger):
+    """Each entry's line, newline included; a bound row is its head, q bound and id."""
+    bounds = _independent_bounds(ledger)
+    head = _bound_row_head(ledger, bounds)
+    for query_id, q_bound, alphas in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
+        if head and alphas == bounds:
+            yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
+        else:
+            yield _encode_entry(ledger, bounds, query_id, q_bound, alphas) + "\n"
+
+
 def write_ledger(path, ledger: PrivacyLedger) -> None:
     header = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
-    bounds = _independent_bounds(ledger)
     with _replacing(path) as fh:
         fh.write(_dump(header) + "\n")
-        for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
-            fh.write(_encode_entry(ledger, bounds, *entry) + "\n")
+        fh.writelines(_entry_lines(ledger))
 
 
 # A JSON number in float form (with a fraction or an exponent), ASCII digits
 # only: float() of its text is the float json.loads gives for it.
 _FLOAT_TEXT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# The rest of a bound row after its head: q bound and id, as in _entry_pattern.
+_BOUND_ROW_TAIL = re.compile(_FLOAT_TEXT + r',"query_id":"([^"\\\x00-\x1f]*)"\}')
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -292,10 +313,17 @@ def read_ledger(path) -> PrivacyLedger:
         bounds = _independent_bounds(ledger)
         orders = ledger.lambda_grid.values
         pattern = _entry_pattern(ledger.gamma, orders)
+        head = _bound_row_head(ledger, bounds)
         seen: dict[str, int] = {}
         for line_no, line in lines:
-            match = pattern.fullmatch(line)
-            if match is None:
+            if head and line.startswith(head) and (
+                    tail := _BOUND_ROW_TAIL.fullmatch(line, len(head))):
+                q_bound, query_id = tail.groups()
+                try:
+                    ledger.append(query_id, float(q_bound), bounds)
+                except ValueError as exc:
+                    raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
+            elif (match := pattern.fullmatch(line)) is None:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:

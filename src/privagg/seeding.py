@@ -102,12 +102,14 @@ def _words(n: int) -> list[int]:
     return words
 
 
-class _FixedWords:
-    """ISeedSequence that hands PCG64 its four precomputed uint64 seed words.
+class _SeedSequenceBase:
+    """``_prefix`` registers it with numpy's ``ISeedSequence`` (importing this
+    module loads no numpy); CPython caches ``isinstance`` for its subclasses."""
+    __slots__ = ()
 
-    ``_prefix``, which every stream's derivation runs, registers it with
-    numpy's ``ISeedSequence``, so importing this module loads no numpy.
-    """
+
+class _FixedWords(_SeedSequenceBase):
+    """ISeedSequence that hands PCG64 its four precomputed uint64 seed words."""
 
     __slots__ = ("words",)
 
@@ -123,7 +125,7 @@ class _FixedWords:
 def _prefix(seed: int, head: tuple[int, ...]) -> tuple[list[int], int]:
     """Pool of SeedSequence(seed, spawn_key=head) and the hash constant after it."""
     import numpy as np
-    np.random.bit_generator.ISeedSequence.register(_FixedWords)  # a no-op once done
+    np.random.bit_generator.ISeedSequence.register(_SeedSequenceBase)  # a no-op once done
     pool = np.random.SeedSequence(seed, spawn_key=head).pool.tolist()
     hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * sum(len(_words(x)) for x in head)
     return pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32

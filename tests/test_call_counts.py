@@ -21,10 +21,20 @@ DATA = Path(__file__).parent / "data"
 
 def test_identical_rounds_make_identical_calls(tmp_path):
     ledger, labels = tmp_path / "ledger.jsonl", tmp_path / "labels.jsonl"
+    # Near-tied votes: no query has a strong quorum, so every entry is data-independent.
+    contested = tmp_path / "contested.jsonl"
+    contested.write_text("".join(f'{{"query_id": "c{i}", "counts": [{4 + i % 2}, 4, 3]}}\n'
+                                 for i in range(20)), encoding="utf-8")
+    contested_ledger = tmp_path / "contested_ledger.jsonl"
     commands = [
         ["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", "0.05", "--seed", "0",
          "--labels-out", str(labels), "--ledger-out", str(ledger)],
         ["account", str(ledger), "--delta", "1e-5", "--output", str(tmp_path / "g.json")],
+        ["aggregate", str(contested), "--gamma", "0.05", "--seed", "0",
+         "--labels-out", str(tmp_path / "contested_labels.jsonl"),
+         "--ledger-out", str(contested_ledger)],
+        ["account", str(contested_ledger), "--delta", "1e-5",
+         "--output", str(tmp_path / "contested_g.json")],
         ["simulate", "--mode", "sweep", "--queries", "40", "--gammas", "0.05,0.5",
          "--seed", "3", "--output", str(tmp_path / "sweep.csv")],
         ["verify", "--cases", "6", "--mc-cases", "2", "--trials", "200", "--seed", "4",
@@ -41,6 +51,7 @@ def test_identical_rounds_make_identical_calls(tmp_path):
     finally:
         tracer.uninstall()
     assert rounds[0] == rounds[1]
+    assert "DataDependent" not in contested_ledger.read_text(encoding="utf-8")
     # Each command reached the modules it drives.
     for name in ("formats.read_votes", "seeding.derive_rng", "mechanism.noisy_argmax",
                  "accountant.compose", "simulation.sweep_gamma",

@@ -327,9 +327,18 @@ def entry_obj(ledger: PrivacyLedger, index: int) -> dict:
 
 
 def encoded_entries(ledger: PrivacyLedger) -> list[str]:
-    bounds = formats._independent_bounds(ledger)
-    return [formats._encode_entry(ledger, bounds, *entry)
-            for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas)]
+    return [line.removesuffix("\n") for line in formats._entry_lines(ledger)]
+
+
+def bound_rows(bounds: tuple[float, ...]):
+    """The data-independent row, the same with each zero bound as -0.0, and
+    rows with one alpha one ulp below or above its bound."""
+    def nudge(k_toward):
+        k, toward = k_toward
+        return (*bounds[:k], math.nextafter(bounds[k], toward), *bounds[k + 1:])
+    return (st.just(bounds) | st.just(tuple(bound or -0.0 for bound in bounds))
+            | st.tuples(st.integers(0, len(bounds) - 1),
+                        st.sampled_from([0.0, math.inf])).map(nudge))
 
 
 @st.composite
@@ -340,10 +349,12 @@ def ledgers(draw):
                  | st.floats(min_value=1e-3, max_value=3.0).map(np.float64)
                  | st.integers(1, 3) | st.sampled_from([1e-300, 1e100, 0.1 + 0.2]))
     ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64)))
+    rows = (st.lists(alphas, min_size=len(grid.values), max_size=len(grid.values))
+            | bound_rows(formats._independent_bounds(ledger)))
     for query_id in draw(st.lists(query_ids, max_size=4, unique=True)):
-        ledger.append(query_id, draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0])),
-                      draw(st.lists(alphas, min_size=len(grid.values),
-                                    max_size=len(grid.values))))
+        ledger.append(query_id, draw(st.floats(0.0, 1.0)
+                                     | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324])),
+                      draw(rows))
     return ledger
 
 
@@ -366,6 +377,16 @@ class TestEncoders:
             return
         ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, 0))]
+
+    @pytest.mark.parametrize("gamma", [1e-300, 0.05])
+    def test_bound_row_signed_zero(self, gamma):
+        # At gamma 1e-300 every bound underflows to 0.0, which -0.0 equals.
+        ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2)))
+        bounds = formats._independent_bounds(ledger)
+        ledger.append("q0", 0.5, bounds)
+        ledger.append("q1", 0.5, tuple(bound or -0.0 for bound in bounds))
+        assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
+                                           for i in range(2)]
 
     @given(query_id=query_ids, label=st.integers())
     def test_label_matches_json_dumps(self, query_id, label):
@@ -453,6 +474,7 @@ class TestLedgerReadPaths:
     def json_only(path: Path) -> str:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(formats, "_entry_pattern", lambda *args: re.compile("(?!)"))
+            mp.setattr(formats, "_bound_row_head", lambda *args: None)
             return read_outcome(path)
 
     @settings(max_examples=300, deadline=None)
@@ -497,10 +519,49 @@ class TestLedgerReadPaths:
         loads, texts = json.loads, []
         monkeypatch.setattr(formats.json, "loads",
                             lambda text, **kw: texts.append(text) or loads(text, **kw))
+        entry_pattern, matched = formats._entry_pattern, []
+
+        class CountingPattern:  # counts the lines that reach the entry pattern
+            def __init__(self, *args):
+                self.pattern = entry_pattern(*args)
+
+            def fullmatch(self, line):
+                matched.append(line)
+                return self.pattern.fullmatch(line)
+
+        monkeypatch.setattr(formats, "_entry_pattern", CountingPattern)
+        reached = []
         for path in (DATA / "expected_ledger.jsonl", ledger):
-            texts.clear()
-            assert len(read_ledger(path)) == 100
+            texts.clear(), matched.clear()
+            loaded = read_ledger(path)
+            assert len(loaded) == 100
             assert texts == [path.read_text().splitlines()[0]]  # the header alone
+            # Data-independent entries take the bound row path alone.
+            bounds = formats._independent_bounds(loaded)
+            assert len(matched) == sum(alphas != bounds for alphas in loaded.alphas)
+            reached.append(len(matched))
+        assert reached[0] == 61  # the fixture's 39 data-independent entries skip it
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: swap_source(obj, 2), "malformed ledger entry: source 'DataDependent' at "
+                                          "lambda 3 disagrees with its alpha, which gives "
+                                          "'DataIndependent'"),
+        (lambda obj: obj.update(q_bound=1.5),
+         "malformed ledger entry: q_bound must lie in [0, 1], got 1.5"),
+        (lambda obj: obj.update(query_id="q1"), "duplicate query_id 'q1' (first on line 2)"),
+    ], ids=["swapped-source", "q-bound-1.5", "duplicate-id"])
+    def test_bound_row_errors(self, tmp_path, edit, message):
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
+        bounds = formats._independent_bounds(ledger)
+        for query_id in ("q1", "q2"):
+            ledger.append(query_id, 0.75, bounds)
+        lines = canonical_lines(ledger)
+        obj = json.loads(lines[2])
+        edit(obj)
+        lines[2] = formats._dump(obj)
+        path = write(tmp_path / "ledger.jsonl", "\n".join(lines) + "\n")
+        assert read_outcome(path) == f"{path}:3: {message}"
+        assert self.json_only(path) == f"{path}:3: {message}"
 
 
 class TestImportCost:
@@ -725,17 +786,6 @@ class TestCliAggregateAccount:
         assert ":2: duplicate query_id" in capsys.readouterr().err
         assert not (tmp_path / "l.jsonl").exists()
 
-    def test_delta_zero_exits_one(self, tmp_path, capsys):
-        ledger = tmp_path / "ledger.jsonl"
-        self.run("aggregate", DATA / "votes_100.jsonl", "--gamma", "0.05",
-                 "--labels-out", tmp_path / "l.jsonl", "--ledger-out", ledger)
-        assert self.run("account", ledger, "--delta", "0") == 1
-
-    def test_bad_delta_is_named_before_the_ledger_is_read(self, tmp_path, capsys):
-        assert self.run("account", tmp_path / "missing.jsonl", "--delta", "0") == 1
-        assert capsys.readouterr().err == (
-            "error: --delta must lie strictly inside (0, 1), got 0.0\n")
-
     def test_bad_lambda_max_is_named_before_the_votes_are_read(self, tmp_path, capsys):
         assert self.run("aggregate", tmp_path / "missing.jsonl", "--gamma", "0.05",
                         "--lambda-max", "0", "--labels-out", tmp_path / "l.jsonl",
@@ -845,18 +895,6 @@ class TestCliSimulate:
                      "--output", str(out)]) == 0
         assert calls == [20]
         assert out.read_bytes() == (DATA / "expected_budget.json").read_bytes()
-
-    def test_bad_delta_is_named_before_any_query_is_labelled(self, tmp_path, capsys,
-                                                            monkeypatch):
-        from privagg import cli
-        calls = []
-        monkeypatch.setattr(cli, "budget_report", lambda *args, **kw: calls.append(args))
-        out = tmp_path / "budget.json"
-        assert main(["simulate", "--mode", "budget", "--queries", "20000",
-                     "--gamma", "0.05", "--delta", "2", "--output", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: --delta must lie strictly inside (0, 1), got 2.0\n")
-        assert calls == [] and not out.exists()
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -1008,7 +1046,7 @@ DELTA_LIBRARY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("text", ["0.0", "-0.0", "1.0", "nan", "inf", "1e-400"])
+@pytest.mark.parametrize("text", ["0.0", "-0.0", "1.0", "2", "nan", "inf", "1e-400"])
 @pytest.mark.parametrize("caller", [*DELTA_LIBRARY_CALLS, "account", "simulate-budget"])
 def test_one_delta_rule(caller, text, tmp_path, capsys, monkeypatch):
     """Every delta check refuses the same values with the same words; the

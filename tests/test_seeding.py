@@ -116,3 +116,13 @@ def test_seed_sequence_serves_only_pcg64_words():
         np.random.SeedSequence(11, spawn_key=(0, 5)).generate_state(4, np.uint64).tolist())
     with pytest.raises(ValueError, match="exactly 4 uint64 words"):
         seq.generate_state(8, np.uint32)
+
+
+def test_seed_sequence_type_check_is_cached():
+    # CPython caches isinstance for a subclass of a registered class only, so
+    # the check in each PCG64(...) is then one cache lookup.
+    import abc
+    from privagg.seeding import _FixedWords
+    derive_rng(11, 0, 5)
+    _, cache, _, _ = abc._get_dump(np.random.bit_generator.ISeedSequence)
+    assert _FixedWords in {ref() for ref in cache}
