@@ -114,15 +114,21 @@ def _same_file(a, b) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _check_outputs(inputs, outputs) -> None:
+    """Refuse an output that names an input or an earlier output: (flag, path) pairs."""
+    for i, (flag, path) in enumerate(outputs):
+        for other, earlier in [*inputs, *outputs[:i]]:
+            if _same_file(path, earlier):
+                raise ValueError(f"{flag} and {other} name the same file: {earlier}")
+
+
 def _cmd_aggregate(args) -> int:
     # Check every argument before reading the votes, so a bad one is named
     # even when the file is missing.
     grid = LambdaGrid.up_to(args.lambda_max)
     params = MechanismParams(gamma=args.gamma, seed=args.seed)
-    if _same_file(args.labels_out, args.ledger_out):
-        # The labels would replace the ledger that books them.
-        raise ValueError(f"--labels-out and --ledger-out name the same file: "
-                         f"{args.ledger_out}")
+    _check_outputs([("votes", args.votes)],
+                   [("--ledger-out", args.ledger_out), ("--labels-out", args.labels_out)])
     query_ids, hists = read_votes(args.votes)
     if not hists:
         print(f"warning: {args.votes} contains no vote records; "
@@ -140,6 +146,7 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_account(args) -> int:
     _check_delta("--delta", args.delta)
+    _check_outputs([("ledger", args.ledger)], [("--output", args.output)] * bool(args.output))
     ledger = read_ledger(args.ledger)
     _emit_json(account_obj(ledger, args.delta), args.output,
                f"guarantee for {len(ledger)} queries -> {args.output}")

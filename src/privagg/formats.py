@@ -19,17 +19,19 @@ Every line of a ledger or label file is exactly the bytes of
 Each moment of a ledger entry carries a ``source``: "DataDependent" where
 its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 "DataIndependent" otherwise.  Writers derive it from the alpha, and readers
-reject a stored source that disagrees.  A data-independent entry (every
-alpha at its bound) is the ledger's constant bound row text, built once per
-file, then its q bound and id.  The reader parses other canonical lines with
-one pattern per ledger and hands every other line to ``json``, with the
-same checks and messages on every path.
+reject a stored source that disagrees.  An entry line is a head, the text up
+to ``"q_bound":`` (gamma, then each order with its alpha and source), and a
+tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head template per
+file; a data-independent entry (every alpha at its bound) takes the ledger's
+constant bound row head.  The reader takes an entry from that head and the
+tail pattern, from one pattern built from the same template, or from
+``json``, and every entry then takes one append-and-check step, so the
+checks and messages are the same on every path.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -165,107 +167,73 @@ def _sources(alphas, bounds) -> list[str]:
             for alpha, bound in zip(alphas, bounds)]
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _entry_template(gamma: float, orders: tuple[int, ...]) -> str:
-    """``%`` template of a ledger line with gamma and the orders filled in.
+def _layout(ledger: PrivacyLedger) -> tuple[tuple[float, ...], str, str | None]:
+    """The ledger's bounds, ``%`` head template and bound row head.
 
-    Its slots are each order's alpha (``%r``) and source (``%s``), then the
-    q bound (``%r``) and the ASCII-escaped JSON string of the query id (``%s``).
+    The template's slots are each order's alpha (``%r``) and source (``%s``).
+    The bound row head is ``_head`` of the bounds; None where a bound is 0
+    (-0.0 equals it) or inf (no JSON number).
     """
+    bounds = _independent_bounds(ledger)
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
-                        for order in orders])
-    return f'{{"gamma":{gamma!r},"moments":[{moments}],"q_bound":%r,"query_id":%s}}'
+                        for order in ledger.lambda_grid.values])
+    template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
+    bound_head = (_head(template, bounds, bounds)
+                  if 0.0 < min(bounds) <= max(bounds) < math.inf else None)
+    return bounds, template, bound_head
 
 
-def _encode_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas) -> str:
-    """One ledger line: the bytes of ``_dump`` of the entry's object.
+def _head(template: str, alphas, bounds) -> str:
+    """An entry's head: ``template`` filled with its alphas and their ``_sources``."""
+    slots = []
+    for alpha, source in zip(alphas, _sources(alphas, bounds)):
+        slots += alpha, source
+    return template % tuple(slots)
+
+
+def _entry_lines(ledger: PrivacyLedger):
+    """Each entry's line, newline included: the bytes of ``_dump`` of its object.
 
     ``json`` writes every finite float as ``float.__repr__`` does, and a
     ledger holds only ``str`` ids, ``int`` orders and finite floats.
     """
-    slots = []
-    for alpha, source in zip(alphas, _sources(alphas, bounds)):
-        slots += alpha, source
-    return (_entry_template(ledger.gamma, ledger.lambda_grid.values)
-            % (*slots, q_bound, encode_basestring_ascii(query_id)))
-
-
-def _bound_row_head(ledger: PrivacyLedger, bounds) -> str | None:
-    """Text of an entry whose alphas are ``bounds``, up to ``"q_bound":``;
-    None where a bound is 0 (-0.0 equals it) or inf (no JSON number)."""
-    head, key, _ = _encode_entry(ledger, bounds, "", 0.0, bounds).rpartition('"q_bound":')
-    return head + key if 0.0 < min(bounds) <= max(bounds) < math.inf else None
-
-
-def _entry_lines(ledger: PrivacyLedger):
-    """Each entry's line, newline included; a bound row is its head, q bound and id."""
-    bounds = _independent_bounds(ledger)
-    head = _bound_row_head(ledger, bounds)
+    bounds, template, bound_head = _layout(ledger)
     for query_id, q_bound, alphas in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
-        if head and alphas == bounds:
-            yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
-        else:
-            yield _encode_entry(ledger, bounds, query_id, q_bound, alphas) + "\n"
+        head = (bound_head if bound_head and alphas == bounds
+                else _head(template, alphas, bounds))
+        yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
-    header = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
     with _replacing(path) as fh:
-        fh.write(_dump(header) + "\n")
+        fh.write(_dump(provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)) + "\n")
         fh.writelines(_entry_lines(ledger))
 
 
 # A JSON number in float form (with a fraction or an exponent), ASCII digits
 # only: float() of its text is the float json.loads gives for it.
 _FLOAT_TEXT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-# The rest of a bound row after its head: q bound and id, as in _entry_pattern.
-_BOUND_ROW_TAIL = re.compile(_FLOAT_TEXT + r',"query_id":"([^"\\\x00-\x1f]*)"\}')
+# An entry's tail: its q bound, then its id as a JSON string without escapes
+# or control characters, so that the captured text is the id itself.
+_TAIL = re.compile(_FLOAT_TEXT + r',"query_id":"([^"\\\x00-\x1f]*)"\}')
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _entry_pattern(gamma: float, orders: tuple[int, ...]) -> re.Pattern:
-    """``_entry_template`` as a pattern: the lines ``_encode_entry`` writes.
-
-    It also matches other float-form numbers and any source word.  Its id is
-    a JSON string without escapes or control characters, so the captured
-    text is the id itself.  Groups: alpha and source per order, q bound, id.
-    """
-    return re.compile(re.escape(_entry_template(gamma, orders))
-                      .replace('"%s"', '"([A-Za-z]+)"')
-                      .replace("%s", r'"([^"\\\x00-\x1f]*)"')
-                      .replace("%r", _FLOAT_TEXT))
-
-
-def _parse_ledger_entry(path, line_no: int, obj, ledger: PrivacyLedger, bounds) -> str:
-    """Append the entry ``obj`` to ``ledger`` and return its query id."""
-    try:
-        moments = obj["moments"]
-        query_id, gamma, q_bound = obj["query_id"], obj["gamma"], obj["q_bound"]
-        orders = tuple(map(itemgetter("lambda"), moments))
-        alphas = tuple(map(itemgetter("alpha"), moments))
-        sources = list(map(itemgetter("source"), moments))
-        if bool in {type(gamma), *map(type, orders)}:
-            # Python compares true as 1 and false as 0: they would pass the checks below.
-            name = "gamma" if type(gamma) is bool else "lambda"
-            raise ValueError(f"{name!r} holds a boolean, not a number")
-        if gamma != ledger.gamma:
-            raise ValueError(f"ledger gamma is {ledger.gamma!r}, entry has gamma {gamma!r}")
-        if orders != ledger.lambda_grid.values:
-            raise ValueError(f"ledger grid is {ledger.lambda_grid.values}, entry has {orders}")
-        _append_entry(ledger, bounds, query_id, q_bound, alphas, orders, sources)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
-    return query_id
-
-
-def _append_entry(ledger: PrivacyLedger, bounds, query_id, q_bound, alphas, orders,
-                  sources) -> None:
-    """``ledger.append`` an entry; ValueError where a stored source disagrees."""
-    ledger.append(query_id, q_bound, alphas)
-    for order, source, derived in zip(orders, sources, _sources(ledger.alphas[-1], bounds)):
-        if source != derived:
-            raise ValueError(f"source {source!r} at lambda {order} disagrees with its "
-                             f"alpha, which gives {derived!r}")
+def _json_entry(obj, ledger: PrivacyLedger) -> tuple:
+    """(query id, q bound, alphas, sources) of the entry ``obj`` that ``json`` read."""
+    moments = obj["moments"]
+    query_id, gamma, q_bound = obj["query_id"], obj["gamma"], obj["q_bound"]
+    orders = tuple(map(itemgetter("lambda"), moments))
+    alphas = tuple(map(itemgetter("alpha"), moments))
+    sources = list(map(itemgetter("source"), moments))
+    if bool in {type(gamma), *map(type, orders)}:
+        # Python compares true as 1 and false as 0: they would pass the checks below.
+        name = "gamma" if type(gamma) is bool else "lambda"
+        raise ValueError(f"{name!r} holds a boolean, not a number")
+    if gamma != ledger.gamma:
+        raise ValueError(f"ledger gamma is {ledger.gamma!r}, entry has gamma {gamma!r}")
+    if orders != ledger.lambda_grid.values:
+        raise ValueError(f"ledger grid is {ledger.lambda_grid.values}, entry has {orders}")
+    return query_id, q_bound, alphas, sources
 
 
 def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
@@ -303,41 +271,47 @@ def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
 
 
 def read_ledger(path) -> PrivacyLedger:
-    """Parse a ledger JSONL file (header line, then one entry per query)."""
+    """Parse a ledger JSONL file (header line, then one entry per query).
+
+    An entry's fields come from the bound row head and ``_TAIL``, from the
+    entry pattern, or from ``json``; every entry then takes the same checks.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _content_lines(fh)
         line_no, line = next(lines, (0, ""))
         if not line:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
-        bounds = _independent_bounds(ledger)
+        bounds, template, bound_head = _layout(ledger)
         orders = ledger.lambda_grid.values
-        pattern = _entry_pattern(ledger.gamma, orders)
-        head = _bound_row_head(ledger, bounds)
+        # The lines _entry_lines writes, and others with float-form numbers and
+        # any source word.  Groups: alpha and source per order, q bound, id.
+        match_entry = re.compile(re.escape(template).replace('"%s"', '"([A-Za-z]+)"')
+                                 .replace("%r", _FLOAT_TEXT) + _TAIL.pattern).fullmatch
+        match_tail, append, appended = _TAIL.fullmatch, ledger.append, ledger.alphas
         seen: dict[str, int] = {}
         for line_no, line in lines:
-            if head and line.startswith(head) and (
-                    tail := _BOUND_ROW_TAIL.fullmatch(line, len(head))):
-                q_bound, query_id = tail.groups()
-                try:
-                    ledger.append(query_id, float(q_bound), bounds)
-                except ValueError as exc:
-                    raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
-            elif (match := pattern.fullmatch(line)) is None:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
-                query_id = _parse_ledger_entry(path, line_no, obj, ledger, bounds)
-            else:
-                # Gamma and the orders are the header's; the checks are those
-                # of _parse_ledger_entry from here on.
-                *slots, q_bound, query_id = match.groups()
-                try:
-                    _append_entry(ledger, bounds, query_id, float(q_bound),
-                                  tuple(map(float, slots[::2])), orders, slots[1::2])
-                except ValueError as exc:
-                    raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
+            try:
+                if bound_head and line.startswith(bound_head) and (
+                        tail := match_tail(line, len(bound_head))):
+                    # Its alphas are the bounds and its sources theirs.
+                    query_id, q_bound, alphas, sources = tail[2], float(tail[1]), bounds, ()
+                elif match := match_entry(line):
+                    # Gamma and the orders are the header's.
+                    *slots, q_bound, query_id = match.groups()
+                    q_bound, alphas, sources = (float(q_bound), tuple(map(float, slots[::2])),
+                                                slots[1::2])
+                else:
+                    query_id, q_bound, alphas, sources = _json_entry(json.loads(line), ledger)
+                append(query_id, q_bound, alphas)
+                if sources and sources != (derived := _sources(appended[-1], bounds)):
+                    k = [a == b for a, b in zip(sources, derived)].index(False)
+                    raise ValueError(f"source {sources[k]!r} at lambda {orders[k]} disagrees "
+                                     f"with its alpha, which gives {derived[k]!r}")
+            except json.JSONDecodeError as exc:
+                raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _fail(path, line_no, f"malformed ledger entry: {exc}") from exc
             _check_unique(path, line_no, query_id, seen)
     return ledger
 

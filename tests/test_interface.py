@@ -467,15 +467,43 @@ LINE_EDITS = {
 }
 
 
+def edit_line(lines: list[str], index: int, k: int, edit: str) -> None:
+    """Apply ``edit`` to ``lines[index]`` at order ``k``: a ``LINE_EDITS`` key,
+    "repeated-line", "raw-control-character-id", "spaces" or "none"."""
+    obj = json.loads(lines[index])
+    if edit == "repeated-line":  # a duplicate id
+        lines.append(lines[index])
+    elif edit == "raw-control-character-id":
+        lines[index] = lines[index].replace('"query_id":"', '"query_id":"\x01', 1)
+    elif edit == "spaces":
+        lines[index] = json.dumps(obj, sort_keys=True)
+    elif edit != "none":
+        raw = LINE_EDITS[edit](obj, k)
+        lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False)
+        if raw is not None:
+            lines[index] = lines[index].replace(f'"{RAW}"', raw)
+
+
 class TestLedgerReadPaths:
     """Canonical lines skip json.loads; the pattern path and the JSON path agree."""
 
     @staticmethod
     def json_only(path: Path) -> str:
+        """``read_outcome`` with ``json.loads`` reading every line up to the one
+        the outcome names; a tail that never matches turns both patterns off."""
+        loads, texts = json.loads, []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(formats, "_entry_pattern", lambda *args: re.compile("(?!)"))
-            mp.setattr(formats, "_bound_row_head", lambda *args: None)
-            return read_outcome(path)
+            mp.setattr(formats, "_TAIL", re.compile("(?!)"))
+            mp.setattr(formats.json, "loads",
+                       lambda text, **kw: texts.append(text) or loads(text, **kw))
+            outcome = read_outcome(path)
+        failed = re.match(re.escape(f"{path}:") + r"(\d+): ", outcome)
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line_no, line in formats._content_lines(fh)
+                     if failed is None or line_no <= int(failed[1])]
+        assert texts == lines
+        return outcome
 
     @settings(max_examples=300, deadline=None)
     @given(ledger=ledgers().filter(len), plain_ids=st.booleans(), data=st.data(),
@@ -492,21 +520,24 @@ class TestLedgerReadPaths:
         lines = canonical_lines(ledger)
         index = data.draw(st.integers(1, len(ledger)), label="line")
         k = data.draw(st.integers(0, len(ledger.lambda_grid.values) - 1), label="order")
-        obj = json.loads(lines[index])
-        if edit == "repeated-line":  # a duplicate id
-            lines.append(lines[index])
-        elif edit == "raw-control-character-id":
-            lines[index] = lines[index].replace('"query_id":"', '"query_id":"\x01', 1)
-        elif edit == "spaces":
-            lines[index] = json.dumps(obj, sort_keys=True)
-        elif edit != "none":
-            raw = LINE_EDITS[edit](obj, k)
-            lines[index] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                                      ensure_ascii=False)
-            if raw is not None:
-                lines[index] = lines[index].replace(f'"{RAW}"', raw)
+        edit_line(lines, index, k, edit)
         path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
         write(path, "\n".join(lines) + "\n")
+        assert read_outcome(path) == self.json_only(path)
+
+    # At gamma 1e-300 every bound is 0.0, which the row's -0.0 alphas equal.
+    @pytest.mark.parametrize("gamma", [0.05, 1e-300])
+    @pytest.mark.parametrize("edit", [*LINE_EDITS, "repeated-line",
+                                      "raw-control-character-id", "spaces"])
+    def test_paths_agree_on_bound_row_edits(self, tmp_path, gamma, edit):
+        ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
+        bounds = tuple(bound or -0.0 for bound in formats._independent_bounds(ledger))
+        for query_id in ("q1", "q2"):
+            ledger.append(query_id, 0.75, bounds)
+        lines = canonical_lines(ledger)
+        assert lines[1:] == [formats._dump(entry_obj(ledger, i)) for i in range(2)]
+        edit_line(lines, 1, 3, edit)
+        path = write(tmp_path / "ledger.jsonl", "\n".join(lines) + "\n")
         assert read_outcome(path) == self.json_only(path)
 
     @pytest.mark.parametrize("gamma, lambda_max", [(0.05, 8), (0.3, 12)])
@@ -519,17 +550,22 @@ class TestLedgerReadPaths:
         loads, texts = json.loads, []
         monkeypatch.setattr(formats.json, "loads",
                             lambda text, **kw: texts.append(text) or loads(text, **kw))
-        entry_pattern, matched = formats._entry_pattern, []
+        compile_, matched = re.compile, []
 
         class CountingPattern:  # counts the lines that reach the entry pattern
-            def __init__(self, *args):
-                self.pattern = entry_pattern(*args)
+            def __init__(self, pattern):
+                self.pattern = pattern
 
             def fullmatch(self, line):
                 matched.append(line)
                 return self.pattern.fullmatch(line)
 
-        monkeypatch.setattr(formats, "_entry_pattern", CountingPattern)
+        def compile_entry_pattern(text, *args):
+            # read_ledger compiles its entry pattern, which ends with the tail, per call.
+            pattern = compile_(text, *args)
+            return CountingPattern(pattern) if text.endswith(formats._TAIL.pattern) else pattern
+
+        monkeypatch.setattr(formats.re, "compile", compile_entry_pattern)
         reached = []
         for path in (DATA / "expected_ledger.jsonl", ledger):
             texts.clear(), matched.clear()
@@ -564,15 +600,16 @@ class TestLedgerReadPaths:
         assert self.json_only(path) == f"{path}:3: {message}"
 
 
-class TestImportCost:
-    @staticmethod
-    def run_python(code: str) -> str:
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True).stdout
+def run_python(code: str, **env: str) -> str:
+    """stdout of ``code`` in a child Python that imports this checkout's privagg."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
+
+class TestImportCost:
     def test_cli_imports_no_heavy_modules(self):
         # scipy, numpy.polynomial, hypothesis and mpmath would each add to
         # every CLI command's start-up time and resident memory; the oracle
@@ -585,7 +622,7 @@ class TestImportCost:
                 "print(heavy())\n"
                 "privagg.outcome_distribution(privagg.VoteHistogram((3, 1)), 0.5)\n"
                 "print(heavy())")
-        assert self.run_python(code) == "[]\n['numpy']\n"
+        assert run_python(code) == "[]\n['numpy']\n"
 
     def test_derive_rng_loads_only_numpy_random(self):
         # The seeding tail defines its numpy seed-sequence class on first use,
@@ -601,9 +638,9 @@ class TestImportCost:
                 "before = set(sys.modules)\n"
                 "import numpy.random\n"
                 "print(sorted(set(sys.modules) - before))")
-        by_derive_rng = set(ast.literal_eval(self.run_python(loaded)))
+        by_derive_rng = set(ast.literal_eval(run_python(loaded)))
         assert "numpy.random" in by_derive_rng
-        assert by_derive_rng <= set(ast.literal_eval(self.run_python(bare)))
+        assert by_derive_rng <= set(ast.literal_eval(run_python(bare)))
 
     def test_account_and_report_run_without_numpy(self, tmp_path):
         out = tmp_path / "guarantee.json"
@@ -613,7 +650,7 @@ class TestImportCost:
                 "assert privagg.cli.main(argv) == 0\n"
                 f"assert privagg.cli.main(['report', {str(out)!r}]) == 0\n"
                 "print('numpy' in sys.modules)")
-        assert self.run_python(code).splitlines()[-1] == "False"
+        assert run_python(code).splitlines()[-1] == "False"
         assert out.read_bytes() == (DATA / "expected_guarantee.json").read_bytes()
 
 
@@ -623,7 +660,7 @@ class TestAtomicWrite:
         _, ledger = aggregate_head(3)
         write_ledger(path, ledger)
         old = path.read_bytes()
-        encode = formats._encode_entry
+        encode = formats.encode_basestring_ascii  # once per entry, for its id
         calls = []
 
         def fail_on_second_entry(*args):
@@ -632,7 +669,7 @@ class TestAtomicWrite:
                 raise RuntimeError("disk gone")
             return encode(*args)
 
-        monkeypatch.setattr(formats, "_encode_entry", fail_on_second_entry)
+        monkeypatch.setattr(formats, "encode_basestring_ascii", fail_on_second_entry)
         with pytest.raises(RuntimeError, match="disk gone"):
             write_ledger(path, ledger)
         assert len(calls) == 2  # header and first entry were already written
@@ -751,6 +788,31 @@ class TestCliAggregateAccount:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.jsonl", "out.jsonl"]
         else:
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [
+        ("account", "--output"), ("account-hard-link", "--output"),
+        ("aggregate", "--labels-out"), ("aggregate", "--ledger-out")],
+        ids=["account-output", "account-output-hard-link", "votes-as-labels-out",
+             "votes-as-ledger-out"])
+    def test_output_that_names_an_input_exits_one(self, tmp_path, capsys, command, flag):
+        votes = write(tmp_path / "votes.jsonl", (DATA / "votes_100.jsonl").read_text())
+        ledger = write(tmp_path / "ledger.jsonl", (DATA / "expected_ledger.jsonl").read_text())
+        if command == "aggregate":
+            outputs = {"--labels-out": tmp_path / "labels.jsonl",
+                       "--ledger-out": tmp_path / "out.jsonl", flag: votes}
+            argv = ["aggregate", votes, "--gamma", "0.05", *sum(outputs.items(), ())]
+            message = f"{flag} and votes name the same file: {votes}"
+        else:
+            output = ledger
+            if command == "account-hard-link":
+                output = tmp_path / "guarantee.json"
+                os.link(ledger, output)
+            argv = ["account", ledger, "--delta", "1e-5", "--output", output]
+            message = f"--output and ledger name the same file: {ledger}"
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert self.run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_empty_votes_warns_and_succeeds(self, tmp_path, capsys):
         votes = write(tmp_path / "votes.jsonl", "")
@@ -1001,6 +1063,42 @@ class TestCliVerify:
         monkeypatch.setattr(cli, "run_verification", broken)
         assert main(["verify", "--cases", "1", "--trials", "0"]) == 2
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestFrozenFixturesOnAvx2:
+    """numpy's AVX-512 kernels and its AVX2 fallback round some noise draws
+    one ulp apart; every frozen fixture must come out the same on both."""
+
+    DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
+
+    def test_fixture_commands_match_without_avx512(self, tmp_path):
+        from numpy._core._multiarray_umath import __cpu_features__
+        if not all(__cpu_features__.get(name) for name in self.DISABLED.split()):
+            pytest.skip(f"this CPU lacks numpy's {self.DISABLED} kernels, so there is "
+                        "no fallback to compare")
+        out = {name: str(tmp_path / name) for name in os.listdir(DATA)}
+        commands = [
+            ["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", "0.05", "--seed", "0",
+             "--labels-out", out["expected_labels.jsonl"],
+             "--ledger-out", out["expected_ledger.jsonl"]],
+            ["account", out["expected_ledger.jsonl"], "--delta", "1e-5",
+             "--output", out["expected_guarantee.json"]],
+            ["simulate", "--mode", "budget", "--queries", "20", "--gamma", "0.05",
+             "--delta", "1e-5", "--seed", "1", "--output", out["expected_budget.json"]],
+            ["simulate", "--mode", "sweep", "--queries", "50", "--n", "50",
+             "--gammas", "0.01,0.1,1.0", "--seed", "2", "--output", out["expected_sweep.csv"]],
+            ["verify", "--cases", "40", "--trials", "2000", "--mc-cases", "4", "--seed", "11",
+             "--output", out["expected_verify.json"]],
+        ]
+        code = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+                "from privagg.cli import main\n"
+                f"assert [main(argv) for argv in {commands!r}] == [0] * {len(commands)}\n"
+                "print(__cpu_features__['X86_V4'])")
+        assert run_python(code, NPY_DISABLE_CPU_FEATURES=self.DISABLED) == "False\n"
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(set(out) - {"votes_100.jsonl"})
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 class TestCliReport:
