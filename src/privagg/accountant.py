@@ -118,6 +118,8 @@ class PrivacyLedger:
     query_ids: list[str] = field(default_factory=list, init=False, repr=False)
     q_bounds: list[float] = field(default_factory=list, init=False, repr=False)
     alphas: list[tuple[float, ...]] = field(default_factory=list, init=False, repr=False)
+    # The alphas ``append`` last accepted; no caller holds its first value.
+    _accepted: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gamma = _gamma(self.gamma)
@@ -126,24 +128,24 @@ class PrivacyLedger:
         # The plain case, which ``book`` and ``read_ledger`` always give, is
         # checked in one pass.  ``sum`` is NaN or inf unless every alpha is
         # finite (``min`` and ``max`` skip a NaN inside the tuple); any other
-        # input takes the per-value checks below and their messages.
-        if (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
-                and type(alphas) is tuple and len(alphas) == len(self.lambda_grid.values)
-                and {*map(type, alphas)} == _FLOAT and min(alphas) >= 0.0
-                and sum(alphas) < math.inf):
-            self.query_ids.append(query_id)
-            self.q_bounds.append(q_bound)
-            self.alphas.append(alphas)
-            return
-        if not isinstance(query_id, str):
-            raise ValueError(f"query_id must be a string, got {query_id!r}")
-        q_bound = _finite_nonnegative("q_bound", q_bound)
-        if q_bound > 1.0:
-            raise ValueError(f"q_bound must lie in [0, 1], got {q_bound!r}")
-        if len(alphas) != len(self.lambda_grid.values):
-            raise ValueError(f"ledger grid is {self.lambda_grid.values}, "
-                             f"entry has {len(alphas)} alphas")
-        alphas = tuple([_finite_nonnegative("alpha", alpha) for alpha in alphas])
+        # input takes the per-value checks below and their messages.  The tuple
+        # accepted last is not scanned again (``is``: an equal one may hold
+        # ints), so the one ``read_ledger`` passes for every bound row is scanned once.
+        if not (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
+                and (alphas is self._accepted or type(alphas) is tuple
+                     and len(alphas) == len(self.lambda_grid.values)
+                     and {*map(type, alphas)} == _FLOAT and min(alphas) >= 0.0
+                     and sum(alphas) < math.inf)):
+            if not isinstance(query_id, str):
+                raise ValueError(f"query_id must be a string, got {query_id!r}")
+            q_bound = _finite_nonnegative("q_bound", q_bound)
+            if q_bound > 1.0:
+                raise ValueError(f"q_bound must lie in [0, 1], got {q_bound!r}")
+            if len(alphas) != len(self.lambda_grid.values):
+                raise ValueError(f"ledger grid is {self.lambda_grid.values}, "
+                                 f"entry has {len(alphas)} alphas")
+            alphas = tuple([_finite_nonnegative("alpha", alpha) for alpha in alphas])
+        self._accepted = alphas
         self.query_ids.append(query_id)
         self.q_bounds.append(q_bound)
         self.alphas.append(alphas)
@@ -186,15 +188,29 @@ def data_independent_moment(gamma: float, order: int) -> float:
     return 2.0 * gamma * gamma * order * (order + 1)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+class _CachedLast:
+    """``fn`` behind a one-entry typed ``lru_cache`` that an unhashable argument,
+    such as a 0-d numpy array, bypasses.  Not a function, so never traced."""
+
+    def __init__(self, fn):
+        self._cached = functools.lru_cache(maxsize=1, typed=True)(fn)
+        functools.update_wrapper(self, fn)
+
+    def __call__(self, *args):
+        try:
+            return self._cached(*args)
+        except TypeError:
+            return self.__wrapped__(*args)
+
+
+@_CachedLast
 def q_threshold(gamma: float) -> float:
     """Validity boundary (e^{2g} - 1)/(e^{4g} - 1) for the data-dependent bound.
 
     The data-dependent bound applies only to queries whose q stays strictly
     below this value.  Tends to 1/2 as gamma -> 0 and falls toward 0 for
     large gamma.  Raises ValueError once e^{4g} leaves the float range
-    (gamma above about 177).  Computed once per gamma (see
-    ``_order_free_terms``).
+    (gamma above about 177).  Computed once per gamma.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
@@ -249,8 +265,9 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
 
         alpha(l) <= log( (1-q) * ((1-q) / (1 - e^{2g} q))^l + q * e^{2g*l} )
 
-    Evaluated in log space via logaddexp/log1p so small q loses no
-    precision.  Non-decreasing in q over its domain.
+    Evaluated in log space (log-sum-exp, log1p) so small q loses no
+    precision; the domain checks and the terms free of the order run once per
+    (q, gamma) in ``_order_free_terms``.  Non-decreasing in q over its domain.
 
     Raises ValueError when q >= q_threshold(gamma) (callers must fall back
     to the data-independent bound) or when the denominator 1 - e^{2g} q is
@@ -260,6 +277,35 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    try:
+        terms = _order_free_terms(q, gamma)
+    except TypeError:  # an unhashable q or gamma, such as a 0-d numpy array
+        terms = _order_free_terms.__wrapped__(q, gamma)
+    if terms is None:  # q = 0
+        return 0.0
+    log_q, log1p_neg_q, log_denom = terms
+    # log(e^first + e^second) from a = min(first, second) and b = max(first, second).
+    a = b = log_first = (order + 1) * log1p_neg_q - order * log_denom
+    log_second = log_q + 2.0 * gamma * order
+    if log_second < log_first:
+        a = log_second
+    elif log_second > log_first:
+        b = log_second
+    if a != -math.inf:
+        b = b + math.log1p(math.exp(a - b))
+    # The bound is >= 0 exactly; chop float dust from the cancellation at q ~ 0.
+    return b if b > 0.0 else 0.0
+
+
+# ``per_query_moment`` calls ``data_dependent_moment`` once per grid order
+# with one (q, gamma), so everything that does not depend on the order, the
+# domain checks included, runs once per query.  ``typed`` keeps a numpy gamma
+# apart from an equal float, so every result is the float the uncached
+# expression gives.  This cache calls no traced function (``q_threshold`` is
+# none): a traced run counts the same calls in every round.
+@functools.lru_cache(maxsize=1, typed=True)
+def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float] | None:
+    """``(log q, log1p(-q), log(1 - e^{2g} q))``, None at q = 0, or the domain errors."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     threshold = q_threshold(gamma)
@@ -268,24 +314,7 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
             f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
             f"got q={q:.6g}; use the data-independent bound instead")
     if q == 0.0:
-        return 0.0
-    log_q, log1p_neg_q, log_denom = _order_free_terms(q, gamma)
-    log_first = (order + 1) * log1p_neg_q - order * log_denom
-    log_second = log_q + 2.0 * gamma * order
-    alpha = _log_add(log_first, log_second)
-    # The bound is >= 0 exactly; chop float dust from the cancellation at q ~ 0.
-    return max(0.0, alpha)
-
-
-# ``per_query_moment`` calls ``data_dependent_moment`` once per grid order
-# with one (q, gamma), so the terms that do not depend on the order are
-# computed once per query.  ``typed`` keeps a numpy gamma apart from an equal
-# float, so every result is the float the uncached expression gives.  Like
-# ``q_threshold``, this cache calls no public function: a traced run counts
-# the same calls in every round.
-@functools.lru_cache(maxsize=1, typed=True)
-def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float]:
-    """``(log q, log1p(-q), log(1 - e^{2g} q))`` for 0 < q < q_threshold(gamma)."""
+        return None
     log_q = math.log(q)
     denom = -math.expm1(2.0 * gamma + log_q)  # 1 - e^{2g} * q
     if denom < _DENOMINATOR_GUARD:
@@ -293,14 +322,6 @@ def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float]:
             f"1 - e^(2*gamma)*q = {denom:.3g} is below the stability guard; "
             "treat this q as out of domain")
     return log_q, math.log1p(-q), math.log(denom)
-
-
-def _log_add(logx: float, logy: float) -> float:
-    """log(exp(logx) + exp(logy)) without leaving log space."""
-    a, b = min(logx, logy), max(logx, logy)
-    if a == -math.inf:
-        return b
-    return b + math.log1p(math.exp(a - b))
 
 
 def per_query_moment(hist: VoteHistogram, gamma: float,
@@ -318,15 +339,16 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     qb = q_upper_bound(hist, gamma)
     usable = qb < q_threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
+    if not usable:  # no data_dependent_moment call, as a traced run pins
+        return qb, tuple([two_gamma_sq * order * (order + 1) for order in grid.values])
     alphas = []
     for order in grid.values:
         alpha = two_gamma_sq * order * (order + 1)
-        if usable:
-            try:
-                alpha = min(alpha, data_dependent_moment(qb, gamma, order))
-            except ValueError:
-                pass
-        alphas.append(alpha)
+        try:
+            dd = data_dependent_moment(qb, gamma, order)
+        except ValueError:
+            dd = alpha
+        alphas.append(dd if dd < alpha else alpha)  # min(alpha, dd)
     return qb, tuple(alphas)
 
 

@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 
 from .accountant import LambdaGrid, PrivacyLedger, book, compose, eps_for_delta
@@ -244,18 +245,23 @@ def _cmd_report(args) -> int:
     path = str(args.file)
     if path.endswith(".csv"):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        body = [ln for ln in lines if not ln.startswith("#")]
+            body = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
         print(f"sweep table from {path}:")
         for ln in body:
-            cells = ln.split(",")
-            print("  " + "".join(c.ljust(22) for c in cells))
+            print("  " + "".join(c.ljust(22) for c in ln.split(",")))
         return EXIT_OK
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int's digit limit; the text before it
+        # is valid JSON, so its strings and numbers match whole up to that integer
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', text)
+        bad = next(m for m in tokens if m[1] and not (m[2] or m[3])
+                   and len(m[1]) > sys.get_int_max_str_digits())
+        raise FileFormatError(f"{path}:{text.count(chr(10), 0, bad.start()) + 1}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path} holds a JSON {type(obj).__name__}, not an object")
     try:

@@ -104,6 +104,8 @@ def read_votes(path) -> tuple[list[str], list[VoteHistogram]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer past int's digit limit
+                raise _fail(path, line_no, str(exc)) from exc
             query_id, hist = _parse_vote_record(path, line_no, obj)
             _check_unique(path, line_no, query_id, seen)
             if num_classes is None:

@@ -1,9 +1,10 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from privagg import (
     GuaranteeMethod,
@@ -22,6 +23,7 @@ from privagg import (
     q_upper_bound,
     strong_composition_eps,
 )
+from privagg import accountant
 from privagg.formats import FileFormatError, read_ledger, write_ledger
 from conftest import histograms
 
@@ -227,11 +229,131 @@ class TestDataDependentMoment:
     def test_cached_terms_are_bit_identical(self, fraction, value, orders):
         # One q at a gamma of one value but several types: numpy's float32
         # arithmetic rounds otherwise, so no call may reuse another's terms.
-        q = fraction * q_threshold(value)
-        for gamma in (value, np.float32(value), np.float64(value), int(value) or value, value):
+        # A 0-d array, q or gamma, is unhashable and bypasses both caches.
+        p = fraction * q_threshold(value)
+        for q, gamma in [(p, value), (p, np.float32(value)), (p, np.float64(value)),
+                         (p, int(value) or value), (p, value), (p, np.array(value)),
+                         (np.array(p), value), (np.array(p), np.array(value))]:
             for order in orders:
                 assert repr(data_dependent_moment(q, gamma, order)) == repr(
                     self.uncached(q, gamma, order))
+        assert repr(q_threshold(np.array(value))) == repr(q_threshold.__wrapped__(value))
+
+
+def reference_log_add(logx, logy):
+    """log(exp(logx) + exp(logy)) without leaving log space."""
+    a, b = min(logx, logy), max(logx, logy)
+    if a == -math.inf:
+        return b
+    return b + math.log1p(math.exp(a - b))
+
+
+def reference_data_dependent_moment(q, gamma, order):
+    """``data_dependent_moment`` with its domain checks and order-free terms
+    computed at every call, uncached, and ``reference_log_add`` as a call."""
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q!r}")
+    threshold = q_threshold.__wrapped__(gamma)
+    if q >= threshold:
+        raise ValueError(
+            f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
+            f"got q={q:.6g}; use the data-independent bound instead")
+    if q == 0.0:
+        return 0.0
+    log_q = math.log(q)
+    denom = -math.expm1(2.0 * gamma + log_q)
+    if denom < 1e-12:
+        raise ValueError(
+            f"1 - e^(2*gamma)*q = {denom:.3g} is below the stability guard; "
+            "treat this q as out of domain")
+    log1p_neg_q, log_denom = math.log1p(-q), math.log(denom)
+    log_first = (order + 1) * log1p_neg_q - order * log_denom
+    log_second = log_q + 2.0 * gamma * order
+    alpha = reference_log_add(log_first, log_second)
+    return max(0.0, alpha)
+
+
+def reference_per_query_moment(hist, gamma, grid):
+    """``per_query_moment`` with one ``min`` per order, through the references."""
+    qb = accountant.q_upper_bound(hist, gamma)
+    usable = qb < q_threshold.__wrapped__(gamma)
+    two_gamma_sq = 2.0 * gamma * gamma
+    alphas = []
+    for order in grid.values:
+        alpha = two_gamma_sq * order * (order + 1)
+        if usable:
+            try:
+                alpha = min(alpha, reference_data_dependent_moment(qb, gamma, order))
+            except ValueError:
+                pass
+        alphas.append(alpha)
+    return qb, tuple(alphas)
+
+
+def bits(value):
+    """The type and ``float.hex`` of a float, or of each in a (q bound, alphas) pair."""
+    if isinstance(value, tuple):
+        return bits(value[0]), tuple(map(bits, value[1]))
+    return type(value), float.hex(float(value))
+
+
+def outcome(fn, *args):
+    """``bits`` of what ``fn(*args)`` returns, or the type and message it raises."""
+    try:
+        return bits(fn(*args))
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesReference:
+    """Every result bit, type and error equals the reference's."""
+
+    @staticmethod
+    def q_points(gamma, fraction, steps):
+        """q = 0, -0.0, 5e-324 and NaN, q at and beside q_threshold(gamma),
+        ``steps`` ulps below it (the denominator guard trips there from gamma
+        about 13.8), a fraction of it, and q in and beyond [0, 1]."""
+        try:
+            t = q_threshold(gamma)
+        except ValueError:  # past gamma 177 every q takes the overflow error
+            t = 0.5
+        return [0.0, -0.0, 5e-324, math.nan, math.nextafter(t, 0.0), t,
+                math.nextafter(t, 1.0), t - steps * math.ulp(t), fraction * t,
+                fraction, 1.0 + fraction]
+
+    gammas = st.one_of(st.floats(min_value=1e-6, max_value=177.0),
+                       st.sampled_from([1e-6, 0.05, 13.8, 20.0, 50.0, 177.0, 177.5]))
+
+    @settings(max_examples=200)
+    @given(gamma=gammas, to_type=st.sampled_from([float, np.float32, np.float64]),
+           fraction=st.floats(min_value=0.0, max_value=1.0),
+           steps=st.integers(min_value=0, max_value=2**20))
+    def test_data_dependent_moment(self, gamma, to_type, fraction, steps):
+        gamma = to_type(gamma)
+        for q in self.q_points(gamma, fraction, steps):
+            for order in range(-1, 33):
+                assert outcome(data_dependent_moment, q, gamma, order) == outcome(
+                    reference_data_dependent_moment, q, gamma, order), (q, order)
+
+    @settings(max_examples=100)
+    @given(hist=st.lists(st.integers(min_value=0, max_value=250), min_size=2, max_size=10)
+           .filter(any).map(lambda counts: VoteHistogram(tuple(counts))), gamma=gammas,
+           to_type=st.sampled_from([float, np.float32, np.float64]),
+           fraction=st.floats(min_value=0.0, max_value=1.0),
+           steps=st.integers(min_value=0, max_value=2**20))
+    def test_per_query_moment(self, hist, gamma, to_type, fraction, steps):
+        gamma, grid = to_type(gamma), LambdaGrid.up_to(32)
+        assert outcome(per_query_moment, hist, gamma, grid) == outcome(
+            reference_per_query_moment, hist, gamma, grid)
+        # Every q point as the query's q bound, the guard region included.
+        for q in self.q_points(gamma, fraction, steps):
+            with mock.patch.object(accountant, "q_upper_bound", lambda hist, gamma: q):
+                assert outcome(per_query_moment, hist, gamma, grid) == outcome(
+                    reference_per_query_moment, hist, gamma, grid), q
 
 
 class TestThm3Monotonicity:
@@ -325,6 +447,17 @@ class TestQueryMoment:
     def test_invalid(self, changes):
         with pytest.raises(ValueError):
             self.make(**changes)
+
+    def test_only_the_accepted_tuple_itself_skips_the_checks(self):
+        ledger = self.make()
+        ledger.append("r", 0.5, ledger.alphas[0])
+        with pytest.raises(ValueError, match="alpha"):
+            ledger.append("s", 0.5, (0.01, -1e-3))
+        # Equal to the accepted tuple, but it holds ints: they are stored as floats.
+        ledger.append("t", 0.5, (0.0, 1.0))
+        ledger.append("u", 0.5, (0, 1))
+        assert ledger.alphas[-2:] == [(0.0, 1.0)] * 2 and type(ledger.alphas[-1][1]) is float
+        assert ledger.query_ids == ["q", "r", "t", "u"]
 
     def test_numbers_are_stored_as_floats(self):
         ledger = self.make(q_bound=np.float64(0.25), alphas=(0, np.float64(0.5)))

@@ -11,7 +11,8 @@ in one process and compares the counts.
 import sys
 from pathlib import Path
 
-from privagg import cli
+from privagg import cli, q_threshold, q_upper_bound
+from privagg.formats import read_votes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer  # noqa: E402
@@ -57,3 +58,39 @@ def test_identical_rounds_make_identical_calls(tmp_path):
                  "accountant.compose", "simulation.sweep_gamma",
                  "oracle.outcome_distribution", "verification.mc_crosscheck"):
         assert rounds[0][name] > 0, name
+
+
+def test_ledger_round_makes_the_pinned_calls(tmp_path):
+    # The counts the benchmark's check_call_counts pins for one ledger round:
+    # aggregate then account, with one data_dependent_moment per grid order of
+    # each query whose q bound is below q_threshold and none for the others.
+    gamma = 0.05
+    _, hists = read_votes(DATA / "votes_100.jsonl")
+    usable = sum(q_upper_bound(hist, gamma) < q_threshold(gamma) for hist in hists)
+    assert 0 < usable < len(hists) == 100
+    ledger = tmp_path / "ledger.jsonl"
+    commands = [
+        ["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", str(gamma), "--seed", "0",
+         "--labels-out", str(tmp_path / "labels.jsonl"), "--ledger-out", str(ledger)],
+        ["account", str(ledger), "--delta", "1e-5", "--output", str(tmp_path / "g.json")],
+    ]
+    expect = {"cli.main": 2, "cli.aggregate_votes": 1, "cli.account_obj": 1,
+              "formats.read_votes": 1, "formats.write_labels": 1,
+              "formats.write_ledger": 1, "formats.read_ledger": 1,
+              "seeding.derive_rng": 100, "mechanism.noisy_argmax": 100,
+              "accountant.per_query_moment": 100, "accountant.q_upper_bound": 100,
+              "accountant.data_dependent_moment": 8 * usable,
+              "accountant.compose": 1, "accountant.eps_for_delta": 1}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            for argv in commands:
+                assert cli.main(argv) == 0, argv
+            calls = tracer.take_round()["calls"]
+            untouched = {name: 0 for name in calls
+                         if name.split(".")[0] in ("oracle", "verification", "simulation")}
+            assert {name: calls[name] for name in {**expect, **untouched}} == {
+                **expect, **untouched}
+    finally:
+        tracer.uninstall()

@@ -111,6 +111,19 @@ class TestReadVotes:
         assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["votes.jsonl"]
 
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+        path = write(tmp_path / "votes.jsonl", "\n".join([
+            '{"query_id": "a", "counts": [3, 1]}',
+            f'{{"query_id": "b", "counts": [{"9" * 5000}, 1]}}',
+        ]))
+        assert main(["aggregate", str(path), "--gamma", "0.05",
+                     "--labels-out", str(tmp_path / "l.jsonl"),
+                     "--ledger-out", str(tmp_path / "g.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: Exceeds the limit") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["votes.jsonl"]
+
 
 class TestLedgerRoundTrip:
     def test_write_then_read(self, tmp_path):
@@ -1126,7 +1139,13 @@ class TestCliReport:
         ('{"moments": 1}', "'moments' holds int, not an object"),
         ('{"moments": {"epsilon": 1}}', "'moments.delta' is missing"),
         ("not json", "x.json:1: invalid JSON"),
-    ], ids=["int", "moments-int", "no-delta", "not-json"])
+        # Past int's digit limit json.loads raises a plain ValueError.  The
+        # digits in the string, after an escaped quote, and in the floats
+        # before it are no integer.
+        ('{\n "note": "\\"%s",\n "x": 1.%s,\n "y": 2e%s,\n "moments": {"epsilon": -%s}}'
+         % ("9" * 5000, "9" * 5000, "9" * 5000, "9" * 5000),
+         "x.json:5: Exceeds the limit (4300 digits)"),
+    ], ids=["int", "moments-int", "no-delta", "not-json", "too-many-digits"])
     def test_malformed_guarantee_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "x.json"
         path.write_text(text)
