@@ -32,7 +32,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import MechanismParams, VoteHistogram, _gamma, plurality
+from .mechanism import MechanismParams, VoteHistogram, _gamma, _real, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound.  Just below the validity threshold it is about
@@ -82,17 +82,13 @@ class LambdaGrid:
 
 def _finite_nonnegative(name: str, value) -> float:
     """``value`` as a float; ValueError unless it is a finite real number >= 0."""
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            held = "a boolean" if isinstance(value, bool) else f"a {type(value).__name__}"
-            raise ValueError(f"{name!r} holds {held}, not a number")
-        try:
-            value = float(value)
-        except OverflowError:  # an int past the float range, such as 10**400
-            value = math.inf if value > 0 else -math.inf
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name!r} must be finite and non-negative, got {value!r}")
-    return value
+    real = value if type(value) is float else _real(value)
+    if real is None:
+        held = "a boolean" if isinstance(value, bool) else f"a {type(value).__name__}"
+        raise ValueError(f"{name!r} holds {held}, not a number")
+    if not 0.0 <= real < math.inf:
+        raise ValueError(f"{name!r} must be finite and non-negative, got {real!r}")
+    return real
 
 
 def _check_delta(name: str, value: float) -> None:
@@ -181,41 +177,28 @@ def data_independent_moment(gamma: float, order: int) -> float:
 
     Defined at order 0 as well (returning 0) for convenience in tests.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = _gamma(gamma)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return 2.0 * gamma * gamma * order * (order + 1)
 
 
-class _CachedLast:
-    """``fn`` behind a one-entry typed ``lru_cache`` that an unhashable argument,
-    such as a 0-d numpy array, bypasses.  Not a function, so never traced."""
-
-    def __init__(self, fn):
-        self._cached = functools.lru_cache(maxsize=1, typed=True)(fn)
-        functools.update_wrapper(self, fn)
-
-    def __call__(self, *args):
-        try:
-            return self._cached(*args)
-        except TypeError:
-            return self.__wrapped__(*args)
-
-
-@_CachedLast
 def q_threshold(gamma: float) -> float:
     """Validity boundary (e^{2g} - 1)/(e^{4g} - 1) for the data-dependent bound.
 
     The data-dependent bound applies only to queries whose q stays strictly
     below this value.  Tends to 1/2 as gamma -> 0 and falls toward 0 for
     large gamma.  Raises ValueError once e^{4g} leaves the float range
-    (gamma above about 177).  Computed once per gamma.
+    (gamma above about 177).
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    return _threshold(_gamma(gamma))
+
+
+@functools.lru_cache(maxsize=1)
+def _threshold(gamma: float) -> float:
+    """``q_threshold`` of a float gamma that ``_gamma`` accepted, once per gamma."""
     try:
-        # expm1 raises on a finite argument past 709.78 but returns inf on inf.
+        # expm1 raises past 709.78, but 4 * gamma may be inf, where it returns inf.
         if 4.0 * gamma < math.inf:
             return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
     except OverflowError:
@@ -233,8 +216,7 @@ def q_upper_bound(hist: VoteHistogram, gamma: float) -> float:
     when exp(gamma*d_j) leaves the float range, rather than rounding that
     term down to 0.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = _gamma(gamma)
     winner = plurality(hist)
     top = hist.counts[winner]
     raw = 0.0
@@ -273,14 +255,12 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
     to the data-independent bound) or when the denominator 1 - e^{2g} q is
     too close to zero to trust.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = _gamma(gamma)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    try:
-        terms = _order_free_terms(q, gamma)
-    except TypeError:  # an unhashable q or gamma, such as a 0-d numpy array
-        terms = _order_free_terms.__wrapped__(q, gamma)
+    if type(q) is not float and (real := _real(q)) is not None:
+        q = real  # a numpy, int or 0-d array q computes as its float
+    terms = _order_free_terms(q, gamma)
     if terms is None:  # q = 0
         return 0.0
     log_q, log1p_neg_q, log_denom = terms
@@ -299,16 +279,14 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
 
 # ``per_query_moment`` calls ``data_dependent_moment`` once per grid order
 # with one (q, gamma), so everything that does not depend on the order, the
-# domain checks included, runs once per query.  ``typed`` keeps a numpy gamma
-# apart from an equal float, so every result is the float the uncached
-# expression gives.  This cache calls no traced function (``q_threshold`` is
-# none): a traced run counts the same calls in every round.
-@functools.lru_cache(maxsize=1, typed=True)
+# domain checks included, runs once per query.  Its float keys give exactly
+# the uncached result, and a miss calls only private code, which no trace counts.
+@functools.lru_cache(maxsize=1)
 def _order_free_terms(q: float, gamma: float) -> tuple[float, float, float] | None:
     """``(log q, log1p(-q), log(1 - e^{2g} q))``, None at q = 0, or the domain errors."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    threshold = q_threshold(gamma)
+    threshold = _threshold(gamma)
     if q >= threshold:
         raise ValueError(
             f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
@@ -336,8 +314,9 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     — and any epsilon derived from them — are themselves data-dependent
     quantities.
     """
+    gamma = _gamma(gamma)
     qb = q_upper_bound(hist, gamma)
-    usable = qb < q_threshold(gamma)
+    usable = qb < _threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
     if not usable:  # no data_dependent_moment call, as a traced run pins
         return qb, tuple([two_gamma_sq * order * (order + 1) for order in grid.values])
@@ -397,7 +376,7 @@ def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:
         alpha = totals[order]
         if alpha < 0.0:
             raise ValueError(f"alpha_total({order}) is negative: {alpha!r}")
-        eps = (alpha + log_inv_delta) / order
+        eps = (float(alpha) + log_inv_delta) / order  # a numpy total adds as its float
         if eps < best_eps:
             best_eps, best_order = eps, order
     return Guarantee(epsilon=best_eps, delta=delta,
@@ -411,8 +390,7 @@ def strong_composition_eps(gamma: float, num_queries: int, delta: float) -> Guar
 
     Kept as the looser baseline the moments route is compared against.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = _gamma(gamma)
     if num_queries < 0:
         raise ValueError(f"num_queries must be >= 0, got {num_queries}")
     _check_delta("delta", delta)
@@ -422,8 +400,9 @@ def strong_composition_eps(gamma: float, num_queries: int, delta: float) -> Guar
                      method=GuaranteeMethod.STRONG_COMPOSITION, argmin_lambda=None)
 
 
-def moments_guarantee(ledger: PrivacyLedger, delta: float) -> Guarantee:
-    """Composed moments guarantee for a ledger.
+def moments_guarantee(ledger: PrivacyLedger, delta: float,
+                      totals: Mapping[int, float] | None = None) -> Guarantee:
+    """Composed moments guarantee for a ledger; ``totals``, if given, are ``compose(ledger)``.
 
     A ledger with zero queries reveals nothing, so epsilon is reported as 0
     by special case rather than the tail bound's ln(1/delta)/l_max artifact.
@@ -431,4 +410,4 @@ def moments_guarantee(ledger: PrivacyLedger, delta: float) -> Guarantee:
     if len(ledger) == 0:
         return Guarantee(epsilon=0.0, delta=delta,
                          method=GuaranteeMethod.MOMENTS, argmin_lambda=None)
-    return eps_for_delta(compose(ledger), delta)
+    return eps_for_delta(compose(ledger) if totals is None else totals, delta)

@@ -21,8 +21,8 @@ import os
 import re
 import sys
 
-from .accountant import LambdaGrid, PrivacyLedger, book, compose, eps_for_delta
-from .accountant import _check_delta, moments_guarantee, strong_composition_eps
+from .accountant import LambdaGrid, PrivacyLedger, _check_delta, book, compose
+from .accountant import moments_guarantee, strong_composition_eps
 from .formats import (
     FileFormatError,
     FORMAT_VERSION,
@@ -60,18 +60,11 @@ def aggregate_votes(query_ids: list[str], hists: list[VoteHistogram], params: Me
     return noisy_labels(hists, params), book(hists, query_ids, params, grid)
 
 
-def account_obj(ledger: PrivacyLedger, delta: float) -> dict:
-    """Guarantee JSON object for a ledger: moments plus the baseline."""
-    return _account_obj(ledger, delta, compose(ledger))
-
-
-def _account_obj(ledger: PrivacyLedger, delta: float, totals: dict[int, float]) -> dict:
-    """``account_obj`` from the ledger's already composed ``totals``."""
+def account_obj(ledger: PrivacyLedger, delta: float,
+                totals: dict[int, float] | None = None) -> dict:
+    """Guarantee JSON object for a ledger: moments (from ``totals`` if given) plus the baseline."""
     num_queries = len(ledger)
-    # moments_guarantee special-cases the empty ledger to epsilon 0; any
-    # other ledger gets eps_for_delta of its totals, as moments_guarantee does.
-    moments = (eps_for_delta(totals, delta) if num_queries
-               else moments_guarantee(ledger, delta))
+    moments = moments_guarantee(ledger, delta, totals)
     strong = strong_composition_eps(ledger.gamma, num_queries, delta)
     obj = provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)
     obj["noise_scale"] = 1.0 / ledger.gamma
@@ -84,7 +77,7 @@ def budget_report_obj(ledger: PrivacyLedger, accuracy: float, delta: float,
                       config: EnsembleConfig) -> dict:
     """Budget JSON object: the ledger's guarantee plus the run's own keys."""
     totals = compose(ledger)
-    obj = _account_obj(ledger, delta, totals)
+    obj = account_obj(ledger, delta, totals)
     obj.update({
         "delta": delta,
         "num_queries": len(ledger),

@@ -85,21 +85,31 @@ class VoteHistogram:
         return sum(self.counts)
 
 
+def _real(value) -> float | None:
+    """``value`` as a float if it is a non-bool real or a 0-d array of one, else None."""
+    if getattr(value, "ndim", None) == 0:  # a 0-d numpy array or a numpy scalar
+        value = value[()]
+    # float() would take "0.5" and True without complaint.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range, such as 10**400
+        return math.inf if value > 0 else -math.inf
+
+
 def _gamma(value) -> float:
-    """``value`` as a float gamma, or ValueError unless it is a non-bool real,
+    """``value`` as a float gamma, or ValueError unless it is a real (``_real``),
     positive and finite, whose Laplace scale 1/gamma is finite too, and
     whose largest noise draw, (1/gamma)·|log(2^-52)|, is finite as well.
 
-    The one gamma rule: ``MechanismParams`` and ``PrivacyLedger`` both apply it.
+    The one gamma rule, for ``MechanismParams``, ``PrivacyLedger`` and the accountant.
     """
-    # float() would take "0.5" and True without complaint.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"gamma must be a positive finite real, got {value!r}")
-    try:
-        g = float(value)
-    except OverflowError:  # an int past the float range, such as 10**400
-        g = math.inf
-    if not 0.0 < g < math.inf:
+    # A plain float passes here exactly when it passes every check below.
+    if type(value) is float and 0.0 < value < math.inf and 1.0 / value * _MAX_NOISE_LOG < math.inf:
+        return value
+    g = _real(value)
+    if g is None or not 0.0 < g < math.inf:
         raise ValueError(f"gamma must be a positive finite real, got {value!r}")
     if not math.isfinite(1.0 / g):
         raise ValueError(f"Laplace scale 1/gamma is not finite for gamma={value!r}")

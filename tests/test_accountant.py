@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -77,11 +78,13 @@ class TestQThreshold:
         # e^(4*177) is still a float; the formula runs unchanged.
         assert q_threshold(177.0) == math.expm1(354.0) / math.expm1(708.0)
 
-    # At 1e308 and inf, 2 * gamma and 4 * gamma are inf themselves, and
-    # expm1(inf) / expm1(inf) would be NaN.
+    # At 1e308, 4 * gamma is inf itself, and expm1(inf) / expm1(inf) would be
+    # NaN.  An infinite gamma is refused by the one gamma rule.
     @pytest.mark.parametrize("gamma", [177.5, 200.0, 1e6, 1e308, math.inf])
     def test_overflow_is_a_value_error_naming_gamma(self, gamma):
-        with pytest.raises(ValueError, match=re.escape(f"overflows at gamma={gamma!r}")):
+        message = (f"gamma must be a positive finite real, got {gamma!r}" if gamma == math.inf
+                   else f"overflows at gamma={gamma!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             q_threshold(gamma)
 
 
@@ -116,9 +119,11 @@ class TestQUpperBound:
     def test_infinite_gamma_times_deficit_is_the_same_overflow(self, counts, gamma,
                                                                deficit):
         # math.exp(inf) returns inf without raising, so the term was NaN and
-        # the clamp turned it into 1.0.
-        message = re.escape(f"q bound overflows at gamma={gamma!r} and deficit {deficit}:")
-        with pytest.raises(ValueError, match=message):
+        # the clamp turned it into 1.0.  An infinite gamma is refused by the
+        # one gamma rule.
+        message = (f"gamma must be a positive finite real, got {gamma!r}" if gamma == math.inf
+                   else f"q bound overflows at gamma={gamma!r} and deficit {deficit}:")
+        with pytest.raises(ValueError, match=re.escape(message)):
             q_upper_bound(VoteHistogram(counts), gamma)
 
     def test_clamp_before_an_overflowing_term_keeps_one(self):
@@ -227,17 +232,31 @@ class TestDataDependentMoment:
            value=st.sampled_from([0.05, 1.0, 3.0]),
            orders=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
     def test_cached_terms_are_bit_identical(self, fraction, value, orders):
-        # One q at a gamma of one value but several types: numpy's float32
-        # arithmetic rounds otherwise, so no call may reuse another's terms.
-        # A 0-d array, q or gamma, is unhashable and bypasses both caches.
+        # One q at a gamma of one value but several types, 0-d arrays included:
+        # each call computes at float(q) and float(gamma), so no call may reuse
+        # the terms of another whose float differs (float32's does).
         p = fraction * q_threshold(value)
         for q, gamma in [(p, value), (p, np.float32(value)), (p, np.float64(value)),
                          (p, int(value) or value), (p, value), (p, np.array(value)),
                          (np.array(p), value), (np.array(p), np.array(value))]:
             for order in orders:
-                assert repr(data_dependent_moment(q, gamma, order)) == repr(
-                    self.uncached(q, gamma, order))
-        assert repr(q_threshold(np.array(value))) == repr(q_threshold.__wrapped__(value))
+                result = data_dependent_moment(q, gamma, order)
+                assert type(result) is float
+                assert repr(result) == repr(self.uncached(float(q), float(gamma), order))
+        for gamma in (value, np.float32(value), np.array(value)):
+            threshold = q_threshold(gamma)
+            assert type(threshold) is float and threshold == reference_threshold(float(gamma))
+
+
+def reference_threshold(gamma):
+    """``q_threshold``'s closed form and overflow error, computed at every call."""
+    try:
+        if 4.0 * gamma < math.inf:
+            return math.expm1(2.0 * gamma) / math.expm1(4.0 * gamma)
+    except OverflowError:
+        pass
+    raise ValueError(f"q threshold overflows at gamma={gamma!r}: e^(4*gamma) "
+                     "is beyond the float range")
 
 
 def reference_log_add(logx, logy):
@@ -257,7 +276,7 @@ def reference_data_dependent_moment(q, gamma, order):
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    threshold = q_threshold.__wrapped__(gamma)
+    threshold = reference_threshold(gamma)
     if q >= threshold:
         raise ValueError(
             f"data-dependent bound needs q < {threshold:.6g} at gamma={gamma:.6g}, "
@@ -280,7 +299,7 @@ def reference_data_dependent_moment(q, gamma, order):
 def reference_per_query_moment(hist, gamma, grid):
     """``per_query_moment`` with one ``min`` per order, through the references."""
     qb = accountant.q_upper_bound(hist, gamma)
-    usable = qb < q_threshold.__wrapped__(gamma)
+    usable = qb < reference_threshold(gamma)
     two_gamma_sq = 2.0 * gamma * gamma
     alphas = []
     for order in grid.values:
@@ -310,7 +329,10 @@ def outcome(fn, *args):
 
 
 class TestMatchesReference:
-    """Every result bit, type and error equals the reference's."""
+    """Every result bit, type and error equals the reference's at float(q) and
+    float(gamma): a numpy or 0-d array argument computes as its Python float."""
+
+    types = st.sampled_from([float, np.float32, np.float64, np.array])
 
     @staticmethod
     def q_points(gamma, fraction, steps):
@@ -329,31 +351,88 @@ class TestMatchesReference:
                        st.sampled_from([1e-6, 0.05, 13.8, 20.0, 50.0, 177.0, 177.5]))
 
     @settings(max_examples=200)
-    @given(gamma=gammas, to_type=st.sampled_from([float, np.float32, np.float64]),
-           fraction=st.floats(min_value=0.0, max_value=1.0),
+    @given(gamma=gammas, to_type=types, fraction=st.floats(min_value=0.0, max_value=1.0),
            steps=st.integers(min_value=0, max_value=2**20))
     def test_data_dependent_moment(self, gamma, to_type, fraction, steps):
-        gamma = to_type(gamma)
-        for q in self.q_points(gamma, fraction, steps):
+        x = to_type(gamma)
+        gamma = float(x)
+        for q in map(to_type, self.q_points(gamma, fraction, steps)):
             for order in range(-1, 33):
-                assert outcome(data_dependent_moment, q, gamma, order) == outcome(
-                    reference_data_dependent_moment, q, gamma, order), (q, order)
+                assert outcome(data_dependent_moment, q, x, order) == outcome(
+                    reference_data_dependent_moment, float(q), gamma, order), (q, order)
 
     @settings(max_examples=100)
     @given(hist=st.lists(st.integers(min_value=0, max_value=250), min_size=2, max_size=10)
            .filter(any).map(lambda counts: VoteHistogram(tuple(counts))), gamma=gammas,
-           to_type=st.sampled_from([float, np.float32, np.float64]),
-           fraction=st.floats(min_value=0.0, max_value=1.0),
+           to_type=types, fraction=st.floats(min_value=0.0, max_value=1.0),
            steps=st.integers(min_value=0, max_value=2**20))
     def test_per_query_moment(self, hist, gamma, to_type, fraction, steps):
-        gamma, grid = to_type(gamma), LambdaGrid.up_to(32)
-        assert outcome(per_query_moment, hist, gamma, grid) == outcome(
+        x, grid = to_type(gamma), LambdaGrid.up_to(32)
+        gamma = float(x)
+        assert outcome(per_query_moment, hist, x, grid) == outcome(
             reference_per_query_moment, hist, gamma, grid)
         # Every q point as the query's q bound, the guard region included.
         for q in self.q_points(gamma, fraction, steps):
             with mock.patch.object(accountant, "q_upper_bound", lambda hist, gamma: q):
-                assert outcome(per_query_moment, hist, gamma, grid) == outcome(
+                assert outcome(per_query_moment, hist, x, grid) == outcome(
                     reference_per_query_moment, hist, gamma, grid), q
+
+
+class TestFloatArithmetic:
+    """Every accountant function computes in Python floats, whatever real it is given."""
+
+    def test_float32_gamma_books_the_float_bounds(self):
+        hist = VoteHistogram((200, 100, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # float32 arithmetic warned of an overflow here
+            q_bound = q_upper_bound(hist, np.float32(1.0))
+            booked = per_query_moment(hist, np.float32(1.0), GRID)
+        # Rounded to float32, the q bound was 0 and every alpha 0.
+        assert type(q_bound) is float and q_bound == 9.486193738853132e-43
+        assert bits(booked) == bits(per_query_moment(hist, 1.0, GRID))
+        gamma = np.float32(0.05)
+        assert bits(q_upper_bound(VoteHistogram((210, 25, 15)), gamma)) == bits(
+            q_upper_bound(VoteHistogram((210, 25, 15)), float(gamma)))
+        assert bits(data_dependent_moment(0.001, gamma, 3)) == bits(
+            data_dependent_moment(0.001, float(gamma), 3))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda g: data_independent_moment(g, 1), id="data_independent_moment"),
+        pytest.param(q_threshold, id="q_threshold"),
+        pytest.param(lambda g: q_upper_bound(VoteHistogram((3, 1)), g), id="q_upper_bound"),
+        pytest.param(lambda g: data_dependent_moment(0.01, g, 1), id="data_dependent_moment"),
+        pytest.param(lambda g: per_query_moment(VoteHistogram((3, 1)), g, GRID),
+                     id="per_query_moment"),
+        pytest.param(lambda g: strong_composition_eps(g, 10, 1e-5),
+                     id="strong_composition_eps")])
+    def test_bool_gamma_is_refused(self, call):
+        # data_independent_moment(True, 1) gave 4.0, as if gamma were 1.
+        for gamma in (True, np.True_, np.array(True)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gamma must be a positive finite real, got {gamma!r}")):
+                call(gamma)
+
+    def test_zero_d_arrays_give_the_float_result(self):
+        hist, gamma = VoteHistogram((210, 25, 15)), np.array(0.05)
+        q = q_upper_bound(hist, 0.05)
+        for result, expect in [
+                (data_independent_moment(gamma, 3), data_independent_moment(0.05, 3)),
+                (q_threshold(gamma), q_threshold(0.05)),
+                (q_upper_bound(hist, gamma), q),
+                (data_dependent_moment(np.array(q), 0.05, 3), data_dependent_moment(q, 0.05, 3)),
+                (data_dependent_moment(np.array(q), gamma, 3), data_dependent_moment(q, 0.05, 3)),
+                (per_query_moment(hist, gamma, GRID), per_query_moment(hist, 0.05, GRID)),
+                (strong_composition_eps(gamma, 10, 1e-5).epsilon,
+                 strong_composition_eps(0.05, 10, 1e-5).epsilon)]:
+            assert bits(result) == bits(expect)
+
+    def test_epsilons_are_floats(self):
+        # A float32 total gave the float32 epsilon 12.012925, below the exact one.
+        guarantee = eps_for_delta({1: np.float32(0.5)}, 1e-5)
+        assert type(guarantee.epsilon) is float and guarantee.epsilon == 12.012925464970229
+        strong = strong_composition_eps(np.float32(0.05), 10, 1e-5)
+        assert type(strong.epsilon) is float
+        assert strong.epsilon == strong_composition_eps(float(np.float32(0.05)), 10, 1e-5).epsilon
 
 
 class TestThm3Monotonicity:
@@ -648,10 +727,13 @@ class TestStrongComposition:
 class TestMomentsGuarantee:
     def test_empty_ledger_special_cased_to_zero(self):
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        guarantee = moments_guarantee(ledger, 1e-5)
-        assert guarantee.epsilon == 0.0
-        assert guarantee.argmin_lambda is None
+        for guarantee in (moments_guarantee(ledger, 1e-5),
+                          moments_guarantee(ledger, 1e-5, compose(ledger))):
+            assert guarantee.epsilon == 0.0
+            assert guarantee.argmin_lambda is None
 
     def test_non_empty_matches_eps_for_delta(self):
         ledger = _uniform_ledger(100)
-        assert moments_guarantee(ledger, 1e-5) == eps_for_delta(compose(ledger), 1e-5)
+        expect = eps_for_delta(compose(ledger), 1e-5)
+        assert moments_guarantee(ledger, 1e-5) == expect
+        assert moments_guarantee(ledger, 1e-5, compose(ledger)) == expect
