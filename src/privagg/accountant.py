@@ -28,11 +28,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import MechanismParams, VoteHistogram, _gamma, _real, plurality
+from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _real, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound.  Just below the validity threshold it is about
@@ -56,10 +55,10 @@ class LambdaGrid:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"lambda grid values must be integers, got {v!r}")
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(_integer, self.values))
+        if None in vals:
+            raise ValueError("lambda grid values must be integers, "
+                             f"got {self.values[vals.index(None)]!r}")
         if not vals:
             raise ValueError("lambda grid must be non-empty")
         if any(v < 1 for v in vals):
@@ -71,13 +70,20 @@ class LambdaGrid:
     @classmethod
     def up_to(cls, lambda_max: int) -> "LambdaGrid":
         """Grid of all integers 1..lambda_max."""
-        if lambda_max < 1:
-            raise ValueError(f"lambda_max must be >= 1, got {lambda_max}")
-        return cls(tuple(range(1, lambda_max + 1)))
+        return cls(tuple(range(1, _at_least("lambda_max", lambda_max, 1) + 1)))
 
     @classmethod
     def default(cls) -> "LambdaGrid":
         return cls.up_to(8)
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= ``least``."""
+    if (k := _integer(value)) is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+    return k
 
 
 def _finite_nonnegative(name: str, value) -> float:
@@ -119,6 +125,9 @@ class PrivacyLedger:
 
     def __post_init__(self):
         self.gamma = _gamma(self.gamma)
+        if (seed := _integer(self.seed)) is None:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = seed
 
     def append(self, query_id: str, q_bound: float, alphas) -> None:
         # The plain case, which ``book`` and ``read_ledger`` always give, is
@@ -126,7 +135,7 @@ class PrivacyLedger:
         # finite (``min`` and ``max`` skip a NaN inside the tuple); any other
         # input takes the per-value checks below and their messages.  The tuple
         # accepted last is not scanned again (``is``: an equal one may hold
-        # ints), so the one ``read_ledger`` passes for every bound row is scanned once.
+        # ints), so the one bound row that ``book`` and ``read_ledger`` pass is scanned once.
         if not (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
                 and (alphas is self._accepted or type(alphas) is tuple
                      and len(alphas) == len(self.lambda_grid.values)
@@ -178,9 +187,14 @@ def data_independent_moment(gamma: float, order: int) -> float:
     Defined at order 0 as well (returning 0) for convenience in tests.
     """
     gamma = _gamma(gamma)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _at_least("order", order, 0)
     return 2.0 * gamma * gamma * order * (order + 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _independent_row(gamma: float, orders: tuple[int, ...]) -> tuple[float, ...]:
+    """``data_independent_moment`` at each order: the one data-independent row object."""
+    return tuple([2.0 * gamma * gamma * order * (order + 1) for order in orders])
 
 
 def q_threshold(gamma: float) -> float:
@@ -256,10 +270,12 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
     too close to zero to trust.
     """
     gamma = _gamma(gamma)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if type(q) is not float and (real := _real(q)) is not None:
-        q = real  # a numpy, int or 0-d array q computes as its float
+    if type(order) is not int or order < 1:
+        order = _at_least("order", order, 1)
+    if type(q) is not float:  # a numpy, int or 0-d array q computes as its float
+        if (real := _real(q)) is None:
+            raise ValueError(f"q must be a real number, got {q!r}")
+        q = real
     terms = _order_free_terms(q, gamma)
     if terms is None:  # q = 0
         return 0.0
@@ -316,13 +332,11 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     """
     gamma = _gamma(gamma)
     qb = q_upper_bound(hist, gamma)
-    usable = qb < _threshold(gamma)
-    two_gamma_sq = 2.0 * gamma * gamma  # data_independent_moment, same operation order
-    if not usable:  # no data_dependent_moment call, as a traced run pins
-        return qb, tuple([two_gamma_sq * order * (order + 1) for order in grid.values])
+    row = _independent_row(gamma, grid.values)
+    if not qb < _threshold(gamma):  # no data_dependent_moment call, as a traced run pins
+        return qb, row
     alphas = []
-    for order in grid.values:
-        alpha = two_gamma_sq * order * (order + 1)
+    for order, alpha in zip(grid.values, row):
         try:
             dd = data_dependent_moment(qb, gamma, order)
         except ValueError:
@@ -371,12 +385,17 @@ def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:
         raise ValueError("totals must be non-empty")
     _check_delta("delta", delta)
     log_inv_delta = -math.log(delta)
+    terms = []
+    for order, alpha in totals.items():
+        k, total = _at_least("totals order", order, 1), _real(alpha)  # numpy adds as float
+        if total is None:
+            raise ValueError(f"alpha_total({order}) is not a number: {alpha!r}")
+        terms.append((k, total))
     best_eps, best_order = math.inf, None
-    for order in sorted(totals):
-        alpha = totals[order]
+    for order, alpha in sorted(terms):
         if alpha < 0.0:
             raise ValueError(f"alpha_total({order}) is negative: {alpha!r}")
-        eps = (float(alpha) + log_inv_delta) / order  # a numpy total adds as its float
+        eps = (alpha + log_inv_delta) / order
         if eps < best_eps:
             best_eps, best_order = eps, order
     return Guarantee(epsilon=best_eps, delta=delta,
@@ -391,10 +410,8 @@ def strong_composition_eps(gamma: float, num_queries: int, delta: float) -> Guar
     Kept as the looser baseline the moments route is compared against.
     """
     gamma = _gamma(gamma)
-    if num_queries < 0:
-        raise ValueError(f"num_queries must be >= 0, got {num_queries}")
+    t = float(_at_least("num_queries", num_queries, 0))
     _check_delta("delta", delta)
-    t = float(num_queries)
     eps = 4.0 * t * gamma * gamma + 2.0 * gamma * math.sqrt(2.0 * t * math.log(1.0 / delta))
     return Guarantee(epsilon=eps, delta=delta,
                      method=GuaranteeMethod.STRONG_COMPOSITION, argmin_lambda=None)

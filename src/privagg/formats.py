@@ -22,11 +22,11 @@ its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 reject a stored source that disagrees.  An entry line is a head, the text up
 to ``"q_bound":`` (gamma, then each order with its alpha and source), and a
 tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head template per
-file; a data-independent entry (every alpha at its bound) takes the ledger's
-constant bound row head.  The reader takes an entry from that head and the
-tail pattern, from one pattern built from the same template, or from
-``json``, and every entry then takes one append-and-check step, so the
-checks and messages are the same on every path.
+file; an entry whose alphas are the accountant's data-independent row object
+takes the ledger's constant bound row head.  The reader takes an entry from
+that head and the tail pattern, from one pattern built from the same
+template, or from ``json``, and every entry then takes one append-and-check
+step, so the checks and messages are the same on every path.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.
 """
@@ -41,8 +41,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .accountant import Guarantee, LambdaGrid, PrivacyLedger, data_independent_moment
-from .mechanism import VoteHistogram, tally_votes
+from .accountant import Guarantee, LambdaGrid, PrivacyLedger, _independent_row
+from .mechanism import VoteHistogram, _integer, tally_votes
 from .simulation import SweepResult
 
 FORMAT_VERSION = 1
@@ -70,8 +70,7 @@ def _parse_vote_record(path, line_no: int, obj) -> tuple[str, VoteHistogram]:
         if has_counts:
             hist = VoteHistogram(tuple(obj["counts"]))
         else:
-            m = obj.get("num_classes")
-            if not isinstance(m, int):
+            if (m := _integer(obj.get("num_classes"))) is None:
                 raise ValueError("label records need an integer 'num_classes'")
             hist = tally_votes(obj["labels"], m)
     except (ValueError, TypeError) as exc:
@@ -157,14 +156,8 @@ def write_labels(path, ledger: PrivacyLedger, labels: list[int]) -> None:
             fh.write(_encode_label(query_id, label) + "\n")
 
 
-def _independent_bounds(ledger: PrivacyLedger) -> tuple[float, ...]:
-    """The data-independent alpha at each grid order, as ``book`` computes it."""
-    return tuple(data_independent_moment(ledger.gamma, order)
-                 for order in ledger.lambda_grid.values)
-
-
 def _sources(alphas, bounds) -> list[str]:
-    """The ``source`` of each alpha of an entry, given ``_independent_bounds``."""
+    """The ``source`` of each alpha of an entry, given the data-independent row."""
     return ["DataDependent" if alpha < bound else "DataIndependent"
             for alpha, bound in zip(alphas, bounds)]
 
@@ -172,16 +165,16 @@ def _sources(alphas, bounds) -> list[str]:
 def _layout(ledger: PrivacyLedger) -> tuple[tuple[float, ...], str, str | None]:
     """The ledger's bounds, ``%`` head template and bound row head.
 
-    The template's slots are each order's alpha (``%r``) and source (``%s``).
-    The bound row head is ``_head`` of the bounds; None where a bound is 0
-    (-0.0 equals it) or inf (no JSON number).
+    The bounds are the accountant's ``_independent_row`` object.  The
+    template's slots are each order's alpha (``%r``) and source (``%s``).
+    The bound row head is ``_head`` of the bounds; None where a bound is inf
+    (no JSON number).
     """
-    bounds = _independent_bounds(ledger)
+    bounds = _independent_row(ledger.gamma, ledger.lambda_grid.values)
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
                         for order in ledger.lambda_grid.values])
     template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
-    bound_head = (_head(template, bounds, bounds)
-                  if 0.0 < min(bounds) <= max(bounds) < math.inf else None)
+    bound_head = _head(template, bounds, bounds) if max(bounds) < math.inf else None
     return bounds, template, bound_head
 
 
@@ -201,8 +194,8 @@ def _entry_lines(ledger: PrivacyLedger):
     """
     bounds, template, bound_head = _layout(ledger)
     for query_id, q_bound, alphas in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
-        head = (bound_head if bound_head and alphas == bounds
-                else _head(template, alphas, bounds))
+        # ``is``: an equal row may hold -0.0 where the bound is 0.0.
+        head = bound_head if alphas is bounds else _head(template, alphas, bounds)
         yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
 
 

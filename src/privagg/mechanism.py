@@ -59,10 +59,9 @@ class VoteHistogram:
                 and min(counts) >= 0 and 1 <= sum(counts) <= _MAX_VOTES):
             return
         coerced = []
-        for j, c in enumerate(self.counts):
-            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-                raise ValueError(f"count for class {j} is not an integer: {c!r}")
-            c = int(c)
+        for j, value in enumerate(self.counts):
+            if (c := _integer(value)) is None:
+                raise ValueError(f"count for class {j} is not an integer: {value!r}")
             if c < 0:
                 raise ValueError(f"count for class {j} is negative: {c}")
             coerced.append(c)
@@ -83,6 +82,16 @@ class VoteHistogram:
     @property
     def total(self) -> int:
         return sum(self.counts)
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is a non-bool integer or a 0-d array of one, else None."""
+    if getattr(value, "ndim", None) == 0:  # a 0-d numpy array or a numpy scalar
+        value = value[()]
+    # int() would take "7", True and 2.9 without complaint.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return None
+    return int(value)
 
 
 def _real(value) -> float | None:
@@ -131,10 +140,9 @@ class MechanismParams:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _gamma(self.gamma))
-        # int() would take "7", True and 2.9 without complaint.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+        if (seed := _integer(self.seed)) is None:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def scale(self) -> float:
@@ -148,16 +156,18 @@ def tally_votes(labels, m: int) -> VoteHistogram:
     Raises ValueError if any label falls outside [0, m) or the sequence
     is empty (a histogram needs at least one vote).
     """
+    if (num_classes := _integer(m)) is None:
+        raise ValueError(f"m must be an integer, got {m!r}")
+    m = num_classes
     if m < 2:
         raise ValueError(f"need at least 2 classes, got m={m}")
     try:
         counts = [0] * m
     except OverflowError:
         raise ValueError(f"m={m} classes are more than a list can hold") from None
-    for i, label in enumerate(labels):
-        if isinstance(label, bool) or not isinstance(label, numbers.Integral):
-            raise ValueError(f"label at position {i} is not an integer: {label!r}")
-        label = int(label)
+    for i, value in enumerate(labels):
+        if (label := _integer(value)) is None:
+            raise ValueError(f"label at position {i} is not an integer: {value!r}")
         if not 0 <= label < m:
             raise ValueError(f"label at position {i} out of range [0, {m}): {label}")
         counts[label] += 1

@@ -273,17 +273,13 @@ def outcome_distribution(hist: VoteHistogram, gamma: float) -> OutcomeDistributi
     where the integration range 40/gamma overflows, and ValueError for a
     gamma that ``MechanismParams`` would refuse.
     """
-    # mechanism._gamma's rule: at gamma = inf the quadrature's pieces would
-    # never grow, and at a b = 1/gamma of inf every piece is NaN.  A verify
-    # round calls this per histogram and gamma, so a plain float whose
-    # range is finite, which implies that rule, skips the full check.
-    if not (type(gamma) is float and 0.0 < gamma < math.inf
-            and _TAIL_SCALE_UNITS / gamma < math.inf):
-        gamma = _gamma(gamma)
-        if not _TAIL_SCALE_UNITS / gamma < math.inf:
-            raise UnsupportedSizeError(
-                f"quadrature oracle needs a finite range {_TAIL_SCALE_UNITS:g}/gamma, "
-                f"got gamma={gamma!r}")
+    # At gamma = inf the quadrature's pieces would never grow, and at a
+    # b = 1/gamma of inf every piece is NaN: mechanism._gamma refuses both.
+    gamma = _gamma(gamma)
+    if not _TAIL_SCALE_UNITS / gamma < math.inf:
+        raise UnsupportedSizeError(
+            f"quadrature oracle needs a finite range {_TAIL_SCALE_UNITS:g}/gamma, "
+            f"got gamma={gamma!r}")
     return _outcome_distribution(hist.counts, gamma)
 
 

@@ -5,18 +5,17 @@ configured accuracy and errs according to a simple confusion model,
 independently of the others.  Real ensembles trained on disjoint data
 partitions are correlated, so sweeps produced from these ensembles are
 qualitative shape checks (accuracy versus noise level, gap statistics,
-budget reports), not reproductions of any dataset-scale numbers.
+budget reports), not reproductions of any dataset-scale figures.
 """
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .accountant import LambdaGrid, PrivacyLedger, book
-from .mechanism import MechanismParams, VoteHistogram, _gamma, gap, noisy_labels
+from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, gap, noisy_labels
 from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
 
 if TYPE_CHECKING:
@@ -47,6 +46,11 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "queries", "seed"):
+            value = _integer(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValueError(f"need at least one teacher, got n={self.n}")
         if self.m < 2:
@@ -98,7 +102,7 @@ def synth_query_votes(config: EnsembleConfig, true_label: int,
     vote is wrong; only the wrong votes are tallied.
     """
     # A float label would reach the integer offsets below.
-    if not (isinstance(true_label, numbers.Integral) and 0 <= true_label < config.m):
+    if (label := _integer(true_label)) is None or not 0 <= label < config.m:
         raise ValueError(f"true_label must be an integer in [0, {config.m}), "
                          f"got {true_label!r}")
     import numpy as np
@@ -108,12 +112,12 @@ def synth_query_votes(config: EnsembleConfig, true_label: int,
             offsets = rng.integers(1, config.m, size=num_wrong)
         else:
             offsets = rng.integers(0, 2, size=num_wrong) * 2 - 1
-        offsets += true_label
+        offsets += label
         offsets %= config.m
         counts = np.bincount(offsets, minlength=config.m).tolist()
     else:
         counts = [0] * config.m
-    counts[true_label] += config.n - num_wrong
+    counts[label] += config.n - num_wrong
     return VoteHistogram(tuple(counts))
 
 

@@ -412,6 +412,26 @@ class TestFloatArithmetic:
                     f"gamma must be a positive finite real, got {gamma!r}")):
                 call(gamma)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: data_independent_moment(0.05, 2.5),
+                     "order must be an integer, got 2.5", id="fractional-order"),
+        pytest.param(lambda: strong_composition_eps(0.05, 2.5, 1e-5),
+                     "num_queries must be an integer, got 2.5", id="fractional-count"),
+        pytest.param(lambda: eps_for_delta({1: True}, 1e-5),
+                     "alpha_total(1) is not a number: True", id="bool-total"),
+        pytest.param(lambda: eps_for_delta({1: "0.5"}, 1e-5),
+                     "alpha_total(1) is not a number: '0.5'", id="str-total"),
+        pytest.param(lambda: eps_for_delta({0: 0.5}, 1e-5),
+                     "totals order must be >= 1, got 0", id="order-zero"),
+        pytest.param(lambda: data_dependent_moment("x", 0.05, 1),
+                     "q must be a real number, got 'x'", id="str-q"),
+        pytest.param(lambda: data_dependent_moment(True, 0.05, 1),
+                     "q must be a real number, got True", id="bool-q")])
+    def test_other_arguments_are_refused_by_name(self, call, message):
+        # 0.04375, epsilon 0.784, epsilon 12.51 and a bare comparison TypeError before.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_zero_d_arrays_give_the_float_result(self):
         hist, gamma = VoteHistogram((210, 25, 15)), np.array(0.05)
         q = q_upper_bound(hist, 0.05)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privagg import (
-    Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
-    data_independent_moment, eps_for_delta, q_threshold, strong_composition_eps,
+    EnsembleConfig, Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
+    VoteHistogram, data_dependent_moment, data_independent_moment, eps_for_delta, q_threshold,
+    strong_composition_eps, synth_query_votes, tally_votes,
 )
+from privagg.accountant import _independent_row
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
 from privagg.formats import (
@@ -33,6 +35,11 @@ GRID = LambdaGrid.default()
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def bound_row(ledger: PrivacyLedger) -> tuple[float, ...]:
+    """The accountant's data-independent row for the ledger's gamma and grid."""
+    return _independent_row(ledger.gamma, ledger.lambda_grid.values)
 
 
 def aggregate_head(k=None, gamma=0.05, seed=0):
@@ -363,7 +370,7 @@ def ledgers(draw):
                  | st.integers(1, 3) | st.sampled_from([1e-300, 1e100, 0.1 + 0.2]))
     ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64)))
     rows = (st.lists(alphas, min_size=len(grid.values), max_size=len(grid.values))
-            | bound_rows(formats._independent_bounds(ledger)))
+            | bound_rows(bound_row(ledger)))
     for query_id in draw(st.lists(query_ids, max_size=4, unique=True)):
         ledger.append(query_id, draw(st.floats(0.0, 1.0)
                                      | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324])),
@@ -395,7 +402,7 @@ class TestEncoders:
     def test_bound_row_signed_zero(self, gamma):
         # At gamma 1e-300 every bound underflows to 0.0, which -0.0 equals.
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2)))
-        bounds = formats._independent_bounds(ledger)
+        bounds = bound_row(ledger)
         ledger.append("q0", 0.5, bounds)
         ledger.append("q1", 0.5, tuple(bound or -0.0 for bound in bounds))
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
@@ -544,7 +551,7 @@ class TestLedgerReadPaths:
                                       "raw-control-character-id", "spaces"])
     def test_paths_agree_on_bound_row_edits(self, tmp_path, gamma, edit):
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
-        bounds = tuple(bound or -0.0 for bound in formats._independent_bounds(ledger))
+        bounds = tuple(bound or -0.0 for bound in bound_row(ledger))
         for query_id in ("q1", "q2"):
             ledger.append(query_id, 0.75, bounds)
         lines = canonical_lines(ledger)
@@ -586,7 +593,7 @@ class TestLedgerReadPaths:
             assert len(loaded) == 100
             assert texts == [path.read_text().splitlines()[0]]  # the header alone
             # Data-independent entries take the bound row path alone.
-            bounds = formats._independent_bounds(loaded)
+            bounds = bound_row(loaded)
             assert len(matched) == sum(alphas != bounds for alphas in loaded.alphas)
             reached.append(len(matched))
         assert reached[0] == 61  # the fixture's 39 data-independent entries skip it
@@ -601,7 +608,7 @@ class TestLedgerReadPaths:
     ], ids=["swapped-source", "q-bound-1.5", "duplicate-id"])
     def test_bound_row_errors(self, tmp_path, edit, message):
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        bounds = formats._independent_bounds(ledger)
+        bounds = bound_row(ledger)
         for query_id in ("q1", "q2"):
             ledger.append(query_id, 0.75, bounds)
         lines = canonical_lines(ledger)
@@ -1184,6 +1191,86 @@ def test_one_delta_rule(caller, text, tmp_path, capsys, monkeypatch):
     assert main([*argv, f"--delta={text}", "--output", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: --delta {rule}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def parse_num_classes(num_classes):
+    obj = {"query_id": "q", "labels": [0], "num_classes": num_classes}
+    return formats._parse_vote_record("votes.jsonl", 1, obj)[1].counts
+
+
+# Each integer-taking entry point: a call that returns what it stored or
+# computed from the integer k, and its message for a refused k.
+INTEGER_CALLS = {
+    "VoteHistogram": (lambda k: VoteHistogram((k, 1)).counts,
+                      "count for class 0 is not an integer: {!r}"),
+    "tally_votes-label": (lambda k: tally_votes([k], 4).counts,
+                          "label at position 0 is not an integer: {!r}"),
+    "tally_votes-m": (lambda k: tally_votes([0], k).counts, "m must be an integer, got {!r}"),
+    "MechanismParams-seed": (lambda k: MechanismParams(0.5, seed=k).seed,
+                             "seed must be an integer, got {!r}"),
+    "PrivacyLedger-seed": (lambda k: PrivacyLedger(0.5, GRID, seed=k).seed,
+                           "seed must be an integer, got {!r}"),
+    "LambdaGrid": (lambda k: LambdaGrid((1, 2, k)).values,
+                   "lambda grid values must be integers, got {!r}"),
+    "LambdaGrid.up_to": (lambda k: LambdaGrid.up_to(k).values,
+                         "lambda_max must be an integer, got {!r}"),
+    "synth_query_votes": (lambda k: synth_query_votes(EnsembleConfig(n=5, m=4), k,
+                                                      np.random.default_rng(0)).counts,
+                          "true_label must be an integer in [0, 4), got {!r}"),
+    "num_classes": (parse_num_classes,
+                    "votes.jsonl:1: label records need an integer 'num_classes'"),
+    **{f"EnsembleConfig-{name}": (lambda k, name=name: getattr(EnsembleConfig(**{name: k}),
+                                                               name),
+                                  f"{name} must be an integer, got {{!r}}")
+       for name in ("n", "m", "queries", "seed")},
+    "data_independent_moment": (lambda k: data_independent_moment(0.05, k),
+                                "order must be an integer, got {!r}"),
+    "data_dependent_moment": (lambda k: data_dependent_moment(0.001, 0.05, k),
+                              "order must be an integer, got {!r}"),
+    "strong_composition_eps": (lambda k: strong_composition_eps(0.05, k, 1e-5),
+                               "num_queries must be an integer, got {!r}"),
+    "eps_for_delta": (lambda k: eps_for_delta({k: 0.5}, 1e-5),
+                      "totals order must be an integer, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("caller, value", [
+    pytest.param(caller, value, id=f"{caller}-{name}")
+    for caller in INTEGER_CALLS
+    for name, value in [("True", True), ("2.5", 2.5), ("str", "3"), ("int64", np.int64(3)),
+                        ("0-d-array", np.array(3))]
+    if not (caller == "eps_for_delta" and name == "0-d-array")])  # no dict key
+def test_one_integer_rule(caller, value):
+    """Every integer argument refuses a bool, a fraction and a string with
+    its own message, and stores a numpy integer or 0-d array as an int."""
+    call, message = INTEGER_CALLS[caller]
+    if isinstance(value, (bool, float, str)):
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert str(refused.value) == message.format(value)
+        return
+    # repr tells np.int64(3) from 3, also inside a tuple or a Guarantee.
+    assert repr(call(value)) == repr(call(3))
+
+
+def test_numbers_module_is_read_by_mechanism_alone():
+    src = Path(__file__).resolve().parents[1] / "src" / "privagg"
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if "numbers." in path.read_text(encoding="utf-8")]
+    assert readers == ["mechanism.py"]
+
+
+@pytest.mark.parametrize("seed", ["x", True, 2.5])
+def test_ledger_seed_is_refused_before_any_write(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        PrivacyLedger(gamma=0.05, lambda_grid=GRID, seed=seed)
+
+
+def test_numpy_ledger_seed_round_trips(tmp_path):
+    ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID, seed=np.int64(3))
+    write_ledger(tmp_path / "ledger.jsonl", ledger)
+    loaded = read_ledger(tmp_path / "ledger.jsonl")
+    assert type(ledger.seed) is int and loaded == ledger
 
 
 def test_readme_library_example_runs(capsys):

@@ -36,6 +36,17 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(**kwargs)
 
+    def test_fractional_queries_are_refused_before_any_draw(self, monkeypatch):
+        # budget_report died inside numpy's integers() with a TypeError.
+        monkeypatch.setattr(simulation, "derive_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=r"^queries must be an integer, got 2\.5$"):
+            budget_report(EnsembleConfig(queries=2.5), 0.05)
+
+    def test_fields_are_stored_as_ints(self):
+        config = EnsembleConfig(n=np.int64(5), m=np.array(3), queries=np.uint8(2),
+                                seed=np.int32(7))
+        assert [type(v) for v in (config.n, config.m, config.queries, config.seed)] == [int] * 4
+
 
 def per_teacher_votes(config, true_label, rng):
     """Reference: one vote per teacher, then a tally of all n votes."""
@@ -81,6 +92,14 @@ class TestSynthQueryVotes:
         config = EnsembleConfig(queries=1000, seed=9)
         result = sweep_gamma(config, [0.05])
         assert result.mean_normalized_gap > 0.6
+
+    def test_bool_label_is_refused_before_any_draw(self):
+        # True voted as class 1 before.
+        config, rng = EnsembleConfig(n=5, m=3, teacher_accuracy=0.9, queries=1), derive_rng(0)
+        with pytest.raises(ValueError, match=r"^true_label must be an integer in \[0, 3\), "
+                                             r"got True$"):
+            synth_query_votes(config, True, rng)
+        assert rng.random() == derive_rng(0).random()
 
     def test_label_out_of_range(self):
         config = EnsembleConfig(n=5, m=3, teacher_accuracy=0.9, queries=1)
