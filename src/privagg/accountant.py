@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _real, plurality
+from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _real, _seed, plurality
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound.  Just below the validity threshold it is about
@@ -112,6 +112,8 @@ class PrivacyLedger:
     the bound ``q_bounds[i]`` on Pr[outcome != plurality winner] and one
     alpha per grid order in ``alphas[i]``.  ``append`` is the only way in;
     it stores ``str`` ids and finite non-negative floats only.
+    ``bound_row`` is the data-independent bound at each order: the one tuple
+    that ``book`` and ``read_ledger`` append for every entry booked at it.
     """
 
     gamma: float
@@ -120,24 +122,23 @@ class PrivacyLedger:
     query_ids: list[str] = field(default_factory=list, init=False, repr=False)
     q_bounds: list[float] = field(default_factory=list, init=False, repr=False)
     alphas: list[tuple[float, ...]] = field(default_factory=list, init=False, repr=False)
-    # The alphas ``append`` last accepted; no caller holds its first value.
-    _accepted: object = field(default_factory=object, init=False, repr=False, compare=False)
+    bound_row: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gamma = _gamma(self.gamma)
-        if (seed := _integer(self.seed)) is None:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        self.seed = seed
+        self.seed = _seed(self.seed)
+        self.bound_row = _independent_row(self.gamma, self.lambda_grid.values)
 
     def append(self, query_id: str, q_bound: float, alphas) -> None:
         # The plain case, which ``book`` and ``read_ledger`` always give, is
         # checked in one pass.  ``sum`` is NaN or inf unless every alpha is
         # finite (``min`` and ``max`` skip a NaN inside the tuple); any other
-        # input takes the per-value checks below and their messages.  The tuple
-        # accepted last is not scanned again (``is``: an equal one may hold
-        # ints), so the one bound row that ``book`` and ``read_ledger`` pass is scanned once.
+        # input takes the per-value checks below and their messages.  The bound
+        # row itself is not scanned (``is``: an equal tuple may hold ints) when
+        # finite; its last bound is its largest.
         if not (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
-                and (alphas is self._accepted or type(alphas) is tuple
+                and (alphas is self.bound_row and alphas[-1] < math.inf
+                     or type(alphas) is tuple
                      and len(alphas) == len(self.lambda_grid.values)
                      and {*map(type, alphas)} == _FLOAT and min(alphas) >= 0.0
                      and sum(alphas) < math.inf)):
@@ -150,7 +151,6 @@ class PrivacyLedger:
                 raise ValueError(f"ledger grid is {self.lambda_grid.values}, "
                                  f"entry has {len(alphas)} alphas")
             alphas = tuple([_finite_nonnegative("alpha", alpha) for alpha in alphas])
-        self._accepted = alphas
         self.query_ids.append(query_id)
         self.q_bounds.append(q_bound)
         self.alphas.append(alphas)

@@ -22,8 +22,8 @@ its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 reject a stored source that disagrees.  An entry line is a head, the text up
 to ``"q_bound":`` (gamma, then each order with its alpha and source), and a
 tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head template per
-file; an entry whose alphas are the accountant's data-independent row object
-takes the ledger's constant bound row head.  The reader takes an entry from
+file; an entry whose alphas are the ledger's ``bound_row`` object takes the
+ledger's constant bound row head.  The reader takes an entry from
 that head and the tail pattern, from one pattern built from the same
 template, or from ``json``, and every entry then takes one append-and-check
 step, so the checks and messages are the same on every path.
@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .accountant import Guarantee, LambdaGrid, PrivacyLedger, _independent_row
+from .accountant import Guarantee, LambdaGrid, PrivacyLedger
 from .mechanism import VoteHistogram, _integer, tally_votes
 from .simulation import SweepResult
 
@@ -162,20 +162,19 @@ def _sources(alphas, bounds) -> list[str]:
             for alpha, bound in zip(alphas, bounds)]
 
 
-def _layout(ledger: PrivacyLedger) -> tuple[tuple[float, ...], str, str | None]:
-    """The ledger's bounds, ``%`` head template and bound row head.
+def _layout(ledger: PrivacyLedger) -> tuple[str, str | None]:
+    """The ledger's ``%`` head template and bound row head.
 
-    The bounds are the accountant's ``_independent_row`` object.  The
-    template's slots are each order's alpha (``%r``) and source (``%s``).
-    The bound row head is ``_head`` of the bounds; None where a bound is inf
-    (no JSON number).
+    The template's slots are each order's alpha (``%r``) and source (``%s``).
+    The bound row head is ``_head`` of ``ledger.bound_row``; None where a
+    bound is inf (no JSON number).
     """
-    bounds = _independent_row(ledger.gamma, ledger.lambda_grid.values)
+    bounds = ledger.bound_row
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
                         for order in ledger.lambda_grid.values])
     template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
     bound_head = _head(template, bounds, bounds) if max(bounds) < math.inf else None
-    return bounds, template, bound_head
+    return template, bound_head
 
 
 def _head(template: str, alphas, bounds) -> str:
@@ -192,7 +191,8 @@ def _entry_lines(ledger: PrivacyLedger):
     ``json`` writes every finite float as ``float.__repr__`` does, and a
     ledger holds only ``str`` ids, ``int`` orders and finite floats.
     """
-    bounds, template, bound_head = _layout(ledger)
+    template, bound_head = _layout(ledger)
+    bounds = ledger.bound_row
     for query_id, q_bound, alphas in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
         # ``is``: an equal row may hold -0.0 where the bound is 0.0.
         head = bound_head if alphas is bounds else _head(template, alphas, bounds)
@@ -277,8 +277,8 @@ def read_ledger(path) -> PrivacyLedger:
         if not line:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
-        bounds, template, bound_head = _layout(ledger)
-        orders = ledger.lambda_grid.values
+        template, bound_head = _layout(ledger)
+        bounds, orders = ledger.bound_row, ledger.lambda_grid.values
         # The lines _entry_lines writes, and others with float-form numbers and
         # any source word.  Groups: alpha and source per order, q bound, id.
         match_entry = re.compile(re.escape(template).replace('"%s"', '"([A-Za-z]+)"')

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .seeding import derive_rng, MECHANISM_NOISE
+from .seeding import _SEED_BITS, _SEED_ERROR, derive_rng, MECHANISM_NOISE
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,6 +94,14 @@ def _integer(value) -> int | None:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as an int master seed; ValueError unless it is an integer (``_integer``)
+    in ``derive_rng``'s domain [0, 2^64).  The seed rule of every seed argument."""
+    if (seed := _integer(value)) is None or seed >> _SEED_BITS:
+        raise ValueError(_SEED_ERROR.format(value))
+    return seed
+
+
 def _real(value) -> float | None:
     """``value`` as a float if it is a non-bool real or a 0-d array of one, else None."""
     if getattr(value, "ndim", None) == 0:  # a 0-d numpy array or a numpy scalar
@@ -140,9 +148,7 @@ class MechanismParams:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _gamma(self.gamma))
-        if (seed := _integer(self.seed)) is None:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def scale(self) -> float:

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .mechanism import VoteHistogram, _draw_noise, _gamma
+from .mechanism import VoteHistogram, _draw_noise, _gamma, _integer, _seed
 from .seeding import derive_rng, MECHANISM_NOISE
 
 MAX_CLASSES = 16
@@ -292,22 +292,24 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
     vectorized in chunks.  It draws from (seed, 0, 0), the stream of
     ``aggregate``'s query 0, so ``trials=1`` replays that query's label.
     """
-    gamma = _gamma(gamma)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    gamma, seed, count = _gamma(gamma), _seed(seed), _integer(trials)
+    if count is None:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if count < 1:
+        raise ValueError(f"trials must be >= 1, got {count}")
     import numpy as np
     m = hist.num_classes
     counts_row = np.asarray(hist.counts, dtype=float)
     rng = derive_rng(seed, MECHANISM_NOISE, 0)
     wins = np.zeros(m, dtype=np.int64)
-    remaining = trials
+    remaining = count
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
         noise = _draw_noise(rng, 1.0 / gamma, chunk * m).reshape(chunk, m)
         winners = np.argmax(counts_row + noise, axis=1)
         wins += np.bincount(winners, minlength=m)
         remaining -= chunk
-    return OutcomeDistribution(tuple(wins / trials))
+    return OutcomeDistribution(tuple(wins / count))
 
 
 def enumerate_neighbors(hist: VoteHistogram) -> list[AdjacentPair]:

@@ -2,10 +2,11 @@
 
 Every random draw in the package flows from a single master seed through
 ``derive_rng(master_seed, domain, *indices)``, the module's one public
-function.  The stream for (seed, *path) is bit for bit the one numpy gives
-for
+function.  A master seed lies in [0, 2^64), and ``derive_rng`` refuses any
+other, so each seed a ledger or report records names one set of streams.
+The stream for (seed, *path) is bit for bit the one numpy gives for
 
-    Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=path)))
+    Generator(PCG64(SeedSequence(seed, spawn_key=path)))
 
 so independent streams never collide, runs are bit-reproducible for a
 fixed master seed, and any label can be reproduced with numpy alone.
@@ -64,7 +65,10 @@ TRUE_LABELS = 2
 ORACLE_MC = 3
 VERIFY_CASES = 4
 
-_U64 = (1 << 64) - 1
+# A master seed has no bits at 64 and up (a negative one has all of them):
+# one outside [0, 2^64) is refused with this message, never reduced.
+_SEED_BITS = 64
+_SEED_ERROR = "seed must be an integer in [0, 2**64), got {!r}"
 _M32 = (1 << 32) - 1
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -176,9 +180,12 @@ def _block(seed: int, head: tuple[int, ...], base: int) -> np.ndarray:
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """PCG64 generator for the stream identified by the integers (master_seed, *path)."""
+    """PCG64 generator for the stream identified by the integers (master_seed, *path);
+    ValueError for a master seed outside [0, 2^64)."""
     import numpy as np
-    seed = operator.index(master_seed) & _U64
+    seed = operator.index(master_seed)
+    if seed >> _SEED_BITS:
+        raise ValueError(_SEED_ERROR.format(master_seed))
     if path:
         # Convert before the cache lookup: (0.0,) and (0,) are the same key.
         *head, last = map(operator.index, path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .accountant import LambdaGrid, PrivacyLedger, book
-from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, gap, noisy_labels
+from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _seed, gap, noisy_labels
 from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
 
 if TYPE_CHECKING:
@@ -46,11 +46,12 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "m", "queries", "seed"):
+        for name in ("n", "m", "queries"):
             value = _integer(getattr(self, name))
             if value is None:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 1:
             raise ValueError(f"need at least one teacher, got n={self.n}")
         if self.m < 2:

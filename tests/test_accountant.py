@@ -547,16 +547,23 @@ class TestQueryMoment:
         with pytest.raises(ValueError):
             self.make(**changes)
 
-    def test_only_the_accepted_tuple_itself_skips_the_checks(self):
-        ledger = self.make()
-        ledger.append("r", 0.5, ledger.alphas[0])
+    def test_only_the_finite_bound_row_itself_skips_the_checks(self):
+        # At gamma 0.5 the bounds 2 gamma^2 l (l + 1) are 1.0 and 3.0.
+        ledger = PrivacyLedger(gamma=0.5, lambda_grid=LambdaGrid((1, 2)))
+        assert ledger.bound_row == (1.0, 3.0)
+        ledger.append("q", 0.5, ledger.bound_row)
+        assert ledger.alphas[0] is ledger.bound_row
         with pytest.raises(ValueError, match="alpha"):
-            ledger.append("s", 0.5, (0.01, -1e-3))
-        # Equal to the accepted tuple, but it holds ints: they are stored as floats.
-        ledger.append("t", 0.5, (0.0, 1.0))
-        ledger.append("u", 0.5, (0, 1))
-        assert ledger.alphas[-2:] == [(0.0, 1.0)] * 2 and type(ledger.alphas[-1][1]) is float
-        assert ledger.query_ids == ["q", "r", "t", "u"]
+            ledger.append("r", 0.5, (0.01, -1e-3))
+        # Equal to the bound row, but it holds ints: they are stored as floats.
+        ledger.append("s", 0.5, (1, 3))
+        assert ledger.alphas[-1] == (1.0, 3.0) and type(ledger.alphas[-1][1]) is float
+        assert ledger.query_ids == ["q", "s"]
+        # At gamma 1e200 the bounds overflow; the row itself is refused.
+        ledger = PrivacyLedger(gamma=1e200, lambda_grid=LambdaGrid((1, 2)))
+        assert ledger.bound_row == (math.inf, math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            ledger.append("q", 0.5, ledger.bound_row)
 
     def test_numbers_are_stored_as_floats(self):
         ledger = self.make(q_bound=np.float64(0.25), alphas=(0, np.float64(0.5)))

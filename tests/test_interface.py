@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from privagg import (
     EnsembleConfig, Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
-    VoteHistogram, data_dependent_moment, data_independent_moment, eps_for_delta, q_threshold,
-    strong_composition_eps, synth_query_votes, tally_votes,
+    VoteHistogram, book, data_dependent_moment, data_independent_moment, eps_for_delta,
+    mc_outcome_frequencies, q_threshold, strong_composition_eps, synth_query_votes,
+    tally_votes,
 )
-from privagg.accountant import _independent_row
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
 from privagg.formats import (
@@ -35,11 +35,6 @@ GRID = LambdaGrid.default()
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def bound_row(ledger: PrivacyLedger) -> tuple[float, ...]:
-    """The accountant's data-independent row for the ledger's gamma and grid."""
-    return _independent_row(ledger.gamma, ledger.lambda_grid.values)
 
 
 def aggregate_head(k=None, gamma=0.05, seed=0):
@@ -294,11 +289,15 @@ class TestLedgerHeaderTypes:
         pytest.param('{"format_version":1.0,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
                      '"seed":0}', "'format_version' holds a float, not an integer",
                      id="version-float"),
+        pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
+                     '"seed":-1}', "seed must be an integer in [0, 2**64), got -1",
+                     id="seed-negative"),
     ])
     def test_rejected_on_line_one(self, tmp_path, capsys, header, message):
         lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()
         path = write(tmp_path / "ledger.jsonl", "\n".join([header, *lines[1:]]) + "\n")
-        with pytest.raises(FileFormatError, match=f":1: malformed ledger header: {message}"):
+        with pytest.raises(FileFormatError,
+                           match=":1: malformed ledger header: " + re.escape(message)):
             read_ledger(path)
         assert main(["account", str(path), "--delta", "1e-5"]) == 1
         err = capsys.readouterr().err
@@ -368,9 +367,9 @@ def ledgers(draw):
     gamma = draw(st.floats(min_value=1e-3, max_value=3.0)
                  | st.floats(min_value=1e-3, max_value=3.0).map(np.float64)
                  | st.integers(1, 3) | st.sampled_from([1e-300, 1e100, 0.1 + 0.2]))
-    ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64)))
+    ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64 - 1)))
     rows = (st.lists(alphas, min_size=len(grid.values), max_size=len(grid.values))
-            | bound_rows(bound_row(ledger)))
+            | bound_rows(ledger.bound_row))
     for query_id in draw(st.lists(query_ids, max_size=4, unique=True)):
         ledger.append(query_id, draw(st.floats(0.0, 1.0)
                                      | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324])),
@@ -402,11 +401,28 @@ class TestEncoders:
     def test_bound_row_signed_zero(self, gamma):
         # At gamma 1e-300 every bound underflows to 0.0, which -0.0 equals.
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2)))
-        bounds = bound_row(ledger)
+        bounds = ledger.bound_row
         ledger.append("q0", 0.5, bounds)
         ledger.append("q1", 0.5, tuple(bound or -0.0 for bound in bounds))
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
                                            for i in range(2)]
+
+    def test_bound_row_head_is_formatted_once_after_another_gamma_is_booked(
+            self, tmp_path, monkeypatch):
+        # Booking at another gamma replaces the accountant's cached row; the
+        # first ledger's entries still hold its own bound_row object.
+        hists = [VoteHistogram((10, 10))] * 20
+        first = book(hists, [f"q{i}" for i in range(20)], MechanismParams(gamma=0.05), GRID)
+        book(hists[:1], ["r"], MechanismParams(gamma=0.3), GRID)
+        assert all(alphas is first.bound_row for alphas in first.alphas)
+        heads, head = [], formats._head
+        monkeypatch.setattr(formats, "_head", lambda *args: heads.append(args) or head(*args))
+        write_ledger(tmp_path / "ledger.jsonl", first)
+        assert len(heads) == 1  # the bound row head itself
+        monkeypatch.undo()
+        write_ledger(tmp_path / "again.jsonl", read_ledger(tmp_path / "ledger.jsonl"))
+        assert (tmp_path / "again.jsonl").read_bytes() == (
+            tmp_path / "ledger.jsonl").read_bytes()
 
     @given(query_id=query_ids, label=st.integers())
     def test_label_matches_json_dumps(self, query_id, label):
@@ -551,7 +567,7 @@ class TestLedgerReadPaths:
                                       "raw-control-character-id", "spaces"])
     def test_paths_agree_on_bound_row_edits(self, tmp_path, gamma, edit):
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
-        bounds = tuple(bound or -0.0 for bound in bound_row(ledger))
+        bounds = tuple(bound or -0.0 for bound in ledger.bound_row)
         for query_id in ("q1", "q2"):
             ledger.append(query_id, 0.75, bounds)
         lines = canonical_lines(ledger)
@@ -593,7 +609,7 @@ class TestLedgerReadPaths:
             assert len(loaded) == 100
             assert texts == [path.read_text().splitlines()[0]]  # the header alone
             # Data-independent entries take the bound row path alone.
-            bounds = bound_row(loaded)
+            bounds = loaded.bound_row
             assert len(matched) == sum(alphas != bounds for alphas in loaded.alphas)
             reached.append(len(matched))
         assert reached[0] == 61  # the fixture's 39 data-independent entries skip it
@@ -608,7 +624,7 @@ class TestLedgerReadPaths:
     ], ids=["swapped-source", "q-bound-1.5", "duplicate-id"])
     def test_bound_row_errors(self, tmp_path, edit, message):
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        bounds = bound_row(ledger)
+        bounds = ledger.bound_row
         for query_id in ("q1", "q2"):
             ledger.append(query_id, 0.75, bounds)
         lines = canonical_lines(ledger)
@@ -1010,6 +1026,25 @@ class TestCliSimulate:
         assert not out.exists()
 
 
+class TestCliSeedDomain:
+    """A seed outside [0, 2^64) is refused before any input is read or output written."""
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", [
+        ["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", "0.05",
+         "--labels-out", "labels.jsonl", "--ledger-out", "ledger.jsonl"],
+        ["simulate", "--mode", "sweep", "--gammas", "0.1", "--output", "sweep.csv"],
+        ["simulate", "--mode", "budget", "--gamma", "0.1", "--output", "budget.json"],
+        ["verify", "--cases", "3", "--output", "report.json"],
+    ], ids=["aggregate", "simulate-sweep", "simulate-budget", "verify"])
+    def test_exits_one_without_output(self, tmp_path, capsys, monkeypatch, command, seed):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--seed", seed]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be an integer in [0, 2**64), got {seed}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCliVerify:
     def test_report_bytes_are_frozen(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -1199,17 +1234,24 @@ def parse_num_classes(num_classes):
 
 
 # Each integer-taking entry point: a call that returns what it stored or
-# computed from the integer k, and its message for a refused k.
+# computed from the integer k, and its message for a refused k.  A seed has
+# one message, which also names its domain.
+SEED_MESSAGE = "seed must be an integer in [0, 2**64), got {!r}"
 INTEGER_CALLS = {
     "VoteHistogram": (lambda k: VoteHistogram((k, 1)).counts,
                       "count for class 0 is not an integer: {!r}"),
     "tally_votes-label": (lambda k: tally_votes([k], 4).counts,
                           "label at position 0 is not an integer: {!r}"),
     "tally_votes-m": (lambda k: tally_votes([0], k).counts, "m must be an integer, got {!r}"),
-    "MechanismParams-seed": (lambda k: MechanismParams(0.5, seed=k).seed,
-                             "seed must be an integer, got {!r}"),
-    "PrivacyLedger-seed": (lambda k: PrivacyLedger(0.5, GRID, seed=k).seed,
-                           "seed must be an integer, got {!r}"),
+    "MechanismParams-seed": (lambda k: MechanismParams(0.5, seed=k).seed, SEED_MESSAGE),
+    "PrivacyLedger-seed": (lambda k: PrivacyLedger(0.5, GRID, seed=k).seed, SEED_MESSAGE),
+    "EnsembleConfig-seed": (lambda k: EnsembleConfig(seed=k).seed, SEED_MESSAGE),
+    "mc_outcome_frequencies-seed": (
+        lambda k: mc_outcome_frequencies(VoteHistogram((3, 1)), 0.5, 4, seed=k).probs,
+        SEED_MESSAGE),
+    "mc_outcome_frequencies-trials": (
+        lambda k: mc_outcome_frequencies(VoteHistogram((3, 1)), 0.5, k).probs,
+        "trials must be an integer, got {!r}"),
     "LambdaGrid": (lambda k: LambdaGrid((1, 2, k)).values,
                    "lambda grid values must be integers, got {!r}"),
     "LambdaGrid.up_to": (lambda k: LambdaGrid.up_to(k).values,
@@ -1222,7 +1264,7 @@ INTEGER_CALLS = {
     **{f"EnsembleConfig-{name}": (lambda k, name=name: getattr(EnsembleConfig(**{name: k}),
                                                                name),
                                   f"{name} must be an integer, got {{!r}}")
-       for name in ("n", "m", "queries", "seed")},
+       for name in ("n", "m", "queries")},
     "data_independent_moment": (lambda k: data_independent_moment(0.05, k),
                                 "order must be an integer, got {!r}"),
     "data_dependent_moment": (lambda k: data_dependent_moment(0.001, 0.05, k),
@@ -1262,7 +1304,7 @@ def test_numbers_module_is_read_by_mechanism_alone():
 
 @pytest.mark.parametrize("seed", ["x", True, 2.5])
 def test_ledger_seed_is_refused_before_any_write(seed):
-    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+    with pytest.raises(ValueError, match=re.escape(SEED_MESSAGE.format(seed))):
         PrivacyLedger(gamma=0.05, lambda_grid=GRID, seed=seed)
 
 

@@ -438,6 +438,12 @@ class TestMonteCarloFrequencies:
             [label] = noisy_labels([hist], MechanismParams(gamma=0.1, seed=seed))
             assert freqs[label] == 1.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_refused(self, trials):
+        # Bools, fractions and strings: test_interface.py::test_one_integer_rule.
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            mc_outcome_frequencies(VoteHistogram((3, 1)), 0.1, trials)
+
     def test_reproducible(self):
         a = mc_outcome_frequencies(VoteHistogram((8, 2)), 0.2, 50_000, seed=5)
         b = mc_outcome_frequencies(VoteHistogram((8, 2)), 0.2, 50_000, seed=5)

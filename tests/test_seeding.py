@@ -1,19 +1,24 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from privagg import EnsembleConfig, LambdaGrid, MechanismParams, PrivacyLedger, VoteHistogram
+from privagg.oracle import mc_outcome_frequencies
 from privagg.seeding import _BLOCK, derive_rng
+from privagg.verification import soundness_sweep
 
-U64 = (1 << 64) - 1
-SEEDS = [-(2**70) - 3, -(2**64), -1, 0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5]
+# The seed domain is [0, 2^64); OUTSIDE are seeds derive_rng refuses.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+OUTSIDE = [-(2**70) - 3, -(2**64), -1, 2**64, 2**64 + 5, 2**128 - 1]
 ITEMS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3]
 
 
 def reference(seed, *path):
     """The stream numpy builds from a SeedSequence, which derive_rng reproduces."""
-    seq = np.random.SeedSequence(int(seed) & U64, spawn_key=tuple(map(int, path)))
+    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, path)))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -23,14 +28,14 @@ def assert_same_stream(seed, path):
     assert ours.random(16).tobytes() == theirs.random(16).tobytes()
 
 
-seeds = st.one_of(st.sampled_from(SEEDS), st.integers(-(2**80), 2**80))
+seeds = st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**64 - 1))
 items = st.one_of(st.sampled_from(ITEMS), st.integers(0, 2**80))
 
 
 @settings(max_examples=300)
 @given(seed=seeds, path=st.lists(items, max_size=4))
 @example(seed=0, path=[])
-@example(seed=2**64 + 5, path=[0, 2**32 - 1, 2**32, 2**64 + 3])
+@example(seed=2**64 - 1, path=[0, 2**32 - 1, 2**32, 2**64 + 3])
 def test_stream_equals_seed_sequence(seed, path):
     assert_same_stream(seed, path)
 
@@ -54,11 +59,47 @@ def test_each_edge_item_alone_and_as_a_batch_prefix(seed):
 BLOCK_EDGES = [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80]
 
 
-@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("head", [(), (0,), (0, 3)])
 def test_block_edges(seed, head):
     for item in BLOCK_EDGES:
         assert_same_stream(seed, [*head, item])
+
+
+def seed_error(seed) -> str:
+    """The one message every entry point gives for a seed outside [0, 2^64)."""
+    return re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+@pytest.mark.parametrize("seed", OUTSIDE)
+@pytest.mark.parametrize("path", [(), (0,), (0, 7), (0, 2**64 + 3)])
+def test_seed_outside_the_domain_is_refused(seed, path):
+    # numpy would refuse a negative seed and take 2^64 and up as more
+    # entropy words; derive_rng refuses both, so no stream has two seeds.
+    with pytest.raises(ValueError, match=seed_error(seed)):
+        derive_rng(seed, *path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("entry", [
+    lambda seed: MechanismParams(gamma=0.05, seed=seed),
+    lambda seed: PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid.default(), seed=seed),
+    lambda seed: EnsembleConfig(seed=seed),
+    lambda seed: mc_outcome_frequencies(VoteHistogram((3, 1)), 0.05, 10, seed=seed),
+    lambda seed: soundness_sweep(3, seed=seed),
+], ids=["MechanismParams", "PrivacyLedger", "EnsembleConfig", "mc_outcome_frequencies",
+        "soundness_sweep"])
+def test_every_entry_point_refuses_the_seed(seed, entry):
+    with pytest.raises(ValueError, match=seed_error(seed)):
+        entry(seed)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, np.uint64(2**64 - 1), np.int64(0)])
+def test_domain_edges_are_accepted_everywhere(seed):
+    assert MechanismParams(gamma=0.05, seed=seed).seed == int(seed)
+    assert PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid.default(), seed=seed).seed == int(seed)
+    assert EnsembleConfig(seed=seed).seed == int(seed)
+    assert_same_stream(seed, [0, 0])
 
 
 def test_consecutive_items_across_three_blocks():
