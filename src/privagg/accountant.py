@@ -13,10 +13,12 @@ available per query:
     winner is overwhelmingly likely, i.e. when an upper bound q on
     Pr[outcome != winner] stays below a gamma-dependent threshold.
 
-Each query books the smaller applicable bound per order.  Across queries the
-moments add, and the final (epsilon, delta) guarantee comes from the tail
-bound  delta = min_l exp(alpha_total(l) - l * epsilon), rearranged for
-epsilon at a target delta.
+Each query books the smaller applicable bound per order.  Both depend on the
+query only through q, so a ledger stores each query's q bound and derives
+its alphas from it.  Across queries the moments add, and the final
+(epsilon, delta) guarantee comes from the tail bound
+delta = min_l exp(alpha_total(l) - l * epsilon), rearranged for epsilon at
+a target delta.
 
 The closed-form alternative kept for comparison is the strong-composition
 guarantee  epsilon = 4*T*gamma^2 + 2*gamma*sqrt(2*T*ln(1/delta))  over T
@@ -38,7 +40,6 @@ from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _real, 
 # 1 / (e^{2*gamma} + 1), so the guard trips there once gamma passes about
 # 13.8: at gamma = 20 and q = q_threshold(20) * (1 - 1e-14) it reads 7.1e-15.
 _DENOMINATOR_GUARD = 1e-12
-_FLOAT = {float}
 
 
 class GuaranteeMethod(enum.Enum):
@@ -109,11 +110,10 @@ class PrivacyLedger:
 
     Metadata pins the mechanism configuration: one gamma, one lambda grid,
     one master seed per ledger.  Query i is ``query_ids[i]``, booked with
-    the bound ``q_bounds[i]`` on Pr[outcome != plurality winner] and one
-    alpha per grid order in ``alphas[i]``.  ``append`` is the only way in;
-    it stores ``str`` ids and finite non-negative floats only.
-    ``bound_row`` is the data-independent bound at each order: the one tuple
-    that ``book`` and ``read_ledger`` append for every entry booked at it.
+    the bound ``q_bounds[i]`` on Pr[outcome != plurality winner].  Its alphas
+    are ``row(q_bounds[i])``, derived from the q bound alone and kept once per
+    distinct q bound in ``_rows``, which ``book`` fills from ``per_query_moment``.
+    ``append`` is the only way in; it stores ``str`` ids and floats in [0, 1].
     """
 
     gamma: float
@@ -121,39 +121,30 @@ class PrivacyLedger:
     seed: int = 0
     query_ids: list[str] = field(default_factory=list, init=False, repr=False)
     q_bounds: list[float] = field(default_factory=list, init=False, repr=False)
-    alphas: list[tuple[float, ...]] = field(default_factory=list, init=False, repr=False)
-    bound_row: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gamma = _gamma(self.gamma)
         self.seed = _seed(self.seed)
-        self.bound_row = _independent_row(self.gamma, self.lambda_grid.values)
+        # Every alpha is at most its order's bound, so every row is finite.
+        if not max(_independent_row(self.gamma, self.lambda_grid.values)) < math.inf:
+            raise ValueError(f"moment bounds at gamma={self.gamma!r} overflow the float range")
 
-    def append(self, query_id: str, q_bound: float, alphas) -> None:
-        # The plain case, which ``book`` and ``read_ledger`` always give, is
-        # checked in one pass.  ``sum`` is NaN or inf unless every alpha is
-        # finite (``min`` and ``max`` skip a NaN inside the tuple); any other
-        # input takes the per-value checks below and their messages.  The bound
-        # row itself is not scanned (``is``: an equal tuple may hold ints) when
-        # finite; its last bound is its largest.
-        if not (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0
-                and (alphas is self.bound_row and alphas[-1] < math.inf
-                     or type(alphas) is tuple
-                     and len(alphas) == len(self.lambda_grid.values)
-                     and {*map(type, alphas)} == _FLOAT and min(alphas) >= 0.0
-                     and sum(alphas) < math.inf)):
+    def append(self, query_id: str, q_bound: float) -> None:
+        if not (type(query_id) is str and type(q_bound) is float and 0.0 <= q_bound <= 1.0):
             if not isinstance(query_id, str):
                 raise ValueError(f"query_id must be a string, got {query_id!r}")
             q_bound = _finite_nonnegative("q_bound", q_bound)
             if q_bound > 1.0:
                 raise ValueError(f"q_bound must lie in [0, 1], got {q_bound!r}")
-            if len(alphas) != len(self.lambda_grid.values):
-                raise ValueError(f"ledger grid is {self.lambda_grid.values}, "
-                                 f"entry has {len(alphas)} alphas")
-            alphas = tuple([_finite_nonnegative("alpha", alpha) for alpha in alphas])
         self.query_ids.append(query_id)
         self.q_bounds.append(q_bound)
-        self.alphas.append(alphas)
+
+    def row(self, q_bound: float) -> tuple[float, ...]:
+        """``per_query_moment``'s alphas at ``q_bound``, derived once per distinct q bound."""
+        if (alphas := self._rows.get(q_bound)) is None:
+            alphas = self._rows[q_bound] = _alphas(q_bound, self.gamma, self.lambda_grid.values)
+        return alphas
 
     def __len__(self) -> int:
         return len(self.query_ids)
@@ -276,6 +267,11 @@ def data_dependent_moment(q: float, gamma: float, order: int) -> float:
         if (real := _real(q)) is None:
             raise ValueError(f"q must be a real number, got {q!r}")
         q = real
+    return _moment(q, gamma, order)
+
+
+def _moment(q: float, gamma: float, order: int) -> float:
+    """``data_dependent_moment`` past its argument checks: a float q and gamma, an int order."""
     terms = _order_free_terms(q, gamma)
     if terms is None:  # q = 0
         return 0.0
@@ -332,27 +328,37 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     """
     gamma = _gamma(gamma)
     qb = q_upper_bound(hist, gamma)
-    row = _independent_row(gamma, grid.values)
-    if not qb < _threshold(gamma):  # no data_dependent_moment call, as a traced run pins
-        return qb, row
+    return qb, _alphas(qb, gamma, grid.values, data_dependent_moment)
+
+
+def _alphas(q: float, gamma: float, orders: tuple[int, ...], moment=_moment) -> tuple[float, ...]:
+    """The alphas booked at the q bound ``q``: per order, the smaller of the data-independent
+    bound and, where q < q_threshold(gamma), ``moment``.  That is ``data_dependent_moment``
+    in ``per_query_moment`` only, so a ledger's derived row calls no traced public function.
+    """
+    row = _independent_row(gamma, orders)
+    if not q < _threshold(gamma):  # no data_dependent_moment call, as a traced run pins
+        return row
     alphas = []
-    for order, alpha in zip(grid.values, row):
+    for order, alpha in zip(orders, row):
         try:
-            dd = data_dependent_moment(qb, gamma, order)
-        except ValueError:
+            dd = moment(q, gamma, order)
+        except ValueError:  # the denominator guard
             dd = alpha
         alphas.append(dd if dd < alpha else alpha)  # min(alpha, dd)
-    return qb, tuple(alphas)
+    return tuple(alphas)
 
 
 def book(hists, query_ids, params: MechanismParams, grid: LambdaGrid) -> PrivacyLedger:
     """New ledger with one ``per_query_moment`` per (histogram, query_id) pair.
 
-    The one loop that books a batch of queries.
+    The one loop that books a batch of queries; its rows become the ledger's.
     """
     ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=params.seed)
     for hist, query_id in zip(hists, query_ids, strict=True):
-        ledger.append(query_id, *per_query_moment(hist, params.gamma, grid))
+        q_bound, alphas = per_query_moment(hist, params.gamma, grid)
+        ledger.append(query_id, q_bound)
+        ledger._rows[q_bound] = alphas
     return ledger
 
 
@@ -364,10 +370,10 @@ def compose(ledger: PrivacyLedger) -> dict[int, float]:
     whatever the Python version's ``sum`` would do.  An empty ledger
     composes to all zeros.
     """
-    orders = ledger.lambda_grid.values
+    orders, row = ledger.lambda_grid.values, ledger.row
     totals = dict.fromkeys(orders, 0.0)
-    for alphas in ledger.alphas:
-        for order, alpha in zip(orders, alphas):
+    for q_bound in ledger.q_bounds:
+        for order, alpha in zip(orders, row(q_bound)):
             totals[order] += alpha
     return totals
 
@@ -388,7 +394,7 @@ def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:
     terms = []
     for order, alpha in totals.items():
         k, total = _at_least("totals order", order, 1), _real(alpha)  # numpy adds as float
-        if total is None:
+        if total is None or math.isnan(total):
             raise ValueError(f"alpha_total({order}) is not a number: {alpha!r}")
         terms.append((k, total))
     best_eps, best_order = math.inf, None

@@ -18,22 +18,22 @@ Every line of a ledger or label file is exactly the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for its object.
 Each moment of a ledger entry carries a ``source``: "DataDependent" where
 its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
-"DataIndependent" otherwise.  Writers derive it from the alpha, and readers
-reject a stored source that disagrees.  An entry line is a head, the text up
-to ``"q_bound":`` (gamma, then each order with its alpha and source), and a
-tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head template per
-file; an entry whose alphas are the ledger's ``bound_row`` object takes the
-ledger's constant bound row head.  The reader takes an entry from
-that head and the tail pattern, from one pattern built from the same
-template, or from ``json``, and every entry then takes one append-and-check
-step, so the checks and messages are the same on every path.
+"DataIndependent" otherwise.  Both are derived from the entry's q bound
+(``PrivacyLedger.row``): writers print them, and readers reject a line whose
+stored alpha or source differs, naming the order.  An entry line is a head,
+the text up to ``"q_bound":`` (gamma, then each order with its alpha and
+source), and a tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head
+template per file; an entry whose alphas equal the bounds takes the ledger's
+constant bound row head.  The reader takes an entry from that head and the
+tail pattern, from one pattern built from the same template, or from
+``json``, and every entry then takes one append-and-check step, so the
+checks and messages are the same on every path.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from contextlib import contextmanager
@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .accountant import Guarantee, LambdaGrid, PrivacyLedger
+from .accountant import Guarantee, LambdaGrid, PrivacyLedger, _independent_row
 from .mechanism import VoteHistogram, _integer, tally_votes
 from .simulation import SweepResult
 
@@ -156,46 +156,35 @@ def write_labels(path, ledger: PrivacyLedger, labels: list[int]) -> None:
             fh.write(_encode_label(query_id, label) + "\n")
 
 
-def _sources(alphas, bounds) -> list[str]:
-    """The ``source`` of each alpha of an entry, given the data-independent row."""
-    return ["DataDependent" if alpha < bound else "DataIndependent"
-            for alpha, bound in zip(alphas, bounds)]
+def _slots(alphas, bounds) -> list:
+    """Each order's alpha and ``source``: "DataDependent" where the alpha is below its bound."""
+    slots = []
+    for alpha, bound in zip(alphas, bounds):
+        slots += alpha, "DataDependent" if alpha < bound else "DataIndependent"
+    return slots
 
 
-def _layout(ledger: PrivacyLedger) -> tuple[str, str | None]:
-    """The ledger's ``%`` head template and bound row head.
-
-    The template's slots are each order's alpha (``%r``) and source (``%s``).
-    The bound row head is ``_head`` of ``ledger.bound_row``; None where a
-    bound is inf (no JSON number).
-    """
-    bounds = ledger.bound_row
+def _layout(ledger: PrivacyLedger) -> tuple[str, tuple[float, ...], str]:
+    """The ``%`` head template, whose slots are ``_slots`` (``%r``, ``%s``), the
+    data-independent row, and that row's head."""
+    bounds = _independent_row(ledger.gamma, ledger.lambda_grid.values)
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
                         for order in ledger.lambda_grid.values])
     template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
-    bound_head = _head(template, bounds, bounds) if max(bounds) < math.inf else None
-    return template, bound_head
-
-
-def _head(template: str, alphas, bounds) -> str:
-    """An entry's head: ``template`` filled with its alphas and their ``_sources``."""
-    slots = []
-    for alpha, source in zip(alphas, _sources(alphas, bounds)):
-        slots += alpha, source
-    return template % tuple(slots)
+    return template, bounds, template % tuple(_slots(bounds, bounds))
 
 
 def _entry_lines(ledger: PrivacyLedger):
     """Each entry's line, newline included: the bytes of ``_dump`` of its object.
 
     ``json`` writes every finite float as ``float.__repr__`` does, and a
-    ledger holds only ``str`` ids, ``int`` orders and finite floats.
+    ledger holds only ``str`` ids, ``int`` orders and finite floats (no -0.0).
     """
-    template, bound_head = _layout(ledger)
-    bounds = ledger.bound_row
-    for query_id, q_bound, alphas in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
-        # ``is``: an equal row may hold -0.0 where the bound is 0.0.
-        head = bound_head if alphas is bounds else _head(template, alphas, bounds)
+    template, bounds, bound_head = _layout(ledger)
+    row = ledger.row
+    for query_id, q_bound in zip(ledger.query_ids, ledger.q_bounds):
+        alphas = row(q_bound)
+        head = bound_head if alphas == bounds else template % tuple(_slots(alphas, bounds))
         yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
 
 
@@ -214,21 +203,20 @@ _TAIL = re.compile(_FLOAT_TEXT + r',"query_id":"([^"\\\x00-\x1f]*)"\}')
 
 
 def _json_entry(obj, ledger: PrivacyLedger) -> tuple:
-    """(query id, q bound, alphas, sources) of the entry ``obj`` that ``json`` read."""
+    """(query id, q bound, ``_slots``) of the entry ``obj`` that ``json`` read."""
     moments = obj["moments"]
     query_id, gamma, q_bound = obj["query_id"], obj["gamma"], obj["q_bound"]
     orders = tuple(map(itemgetter("lambda"), moments))
-    alphas = tuple(map(itemgetter("alpha"), moments))
-    sources = list(map(itemgetter("source"), moments))
-    if bool in {type(gamma), *map(type, orders)}:
+    slots = [moment[key] for moment in moments for key in ("alpha", "source")]
+    for name, values in (("gamma", [gamma]), ("lambda", orders), ("alpha", slots[::2])):
         # Python compares true as 1 and false as 0: they would pass the checks below.
-        name = "gamma" if type(gamma) is bool else "lambda"
-        raise ValueError(f"{name!r} holds a boolean, not a number")
+        if bool in map(type, values):
+            raise ValueError(f"{name!r} holds a boolean, not a number")
     if gamma != ledger.gamma:
         raise ValueError(f"ledger gamma is {ledger.gamma!r}, entry has gamma {gamma!r}")
     if orders != ledger.lambda_grid.values:
         raise ValueError(f"ledger grid is {ledger.lambda_grid.values}, entry has {orders}")
-    return query_id, q_bound, alphas, sources
+    return query_id, q_bound, slots
 
 
 def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
@@ -277,32 +265,33 @@ def read_ledger(path) -> PrivacyLedger:
         if not line:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
-        template, bound_head = _layout(ledger)
-        bounds, orders = ledger.bound_row, ledger.lambda_grid.values
+        template, bounds, bound_head = _layout(ledger)
+        orders, bound_slots = ledger.lambda_grid.values, _slots(bounds, bounds)
         # The lines _entry_lines writes, and others with float-form numbers and
         # any source word.  Groups: alpha and source per order, q bound, id.
         match_entry = re.compile(re.escape(template).replace('"%s"', '"([A-Za-z]+)"')
                                  .replace("%r", _FLOAT_TEXT) + _TAIL.pattern).fullmatch
-        match_tail, append, appended = _TAIL.fullmatch, ledger.append, ledger.alphas
+        match_tail, append, row, q_bounds = (_TAIL.fullmatch, ledger.append, ledger.row,
+                                             ledger.q_bounds)
         seen: dict[str, int] = {}
         for line_no, line in lines:
             try:
-                if bound_head and line.startswith(bound_head) and (
+                if line.startswith(bound_head) and (
                         tail := match_tail(line, len(bound_head))):
-                    # Its alphas are the bounds and its sources theirs.
-                    query_id, q_bound, alphas, sources = tail[2], float(tail[1]), bounds, ()
+                    query_id, q_bound, slots = tail[2], float(tail[1]), bound_slots
                 elif match := match_entry(line):
                     # Gamma and the orders are the header's.
                     *slots, q_bound, query_id = match.groups()
-                    q_bound, alphas, sources = (float(q_bound), tuple(map(float, slots[::2])),
-                                                slots[1::2])
+                    q_bound, slots[::2] = float(q_bound), map(float, slots[::2])
                 else:
-                    query_id, q_bound, alphas, sources = _json_entry(json.loads(line), ledger)
-                append(query_id, q_bound, alphas)
-                if sources and sources != (derived := _sources(appended[-1], bounds)):
-                    k = [a == b for a, b in zip(sources, derived)].index(False)
-                    raise ValueError(f"source {sources[k]!r} at lambda {orders[k]} disagrees "
-                                     f"with its alpha, which gives {derived[k]!r}")
+                    query_id, q_bound, slots = _json_entry(json.loads(line), ledger)
+                append(query_id, q_bound)
+                alphas = row(q_bounds[-1])
+                if slots != (given := bound_slots if alphas == bounds else _slots(alphas, bounds)):
+                    k = [a == b for a, b in zip(slots, given)].index(False)
+                    raise ValueError(f"{('alpha', 'source')[k % 2]} {slots[k]!r} at lambda "
+                                     f"{orders[k // 2]} differs from {given[k]!r}, which its "
+                                     "q_bound gives")
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
             except (KeyError, TypeError, ValueError) as exc:

@@ -24,8 +24,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .accountant import LambdaGrid, per_query_moment, q_upper_bound
-from .mechanism import VoteHistogram, plurality
+from .accountant import LambdaGrid, _at_least, per_query_moment, q_upper_bound
+from .mechanism import VoteHistogram, _integer, _seed, plurality
 from .oracle import (
     MAX_CLASSES,
     QUADRATURE_TOLERANCE,
@@ -117,28 +117,27 @@ def random_histogram(rng: np.random.Generator, max_classes: int = 5,
 
 
 def _cases(seed: int, stream: int, num_cases: int, max_classes: int, max_teachers: int):
-    """The ``num_cases`` random ``(hist, gamma)`` cases of the stream
-    (VERIFY_CASES, stream), drawn lazily, histogram first.
+    """``num_cases`` as an int, and its random ``(hist, gamma)`` cases of the
+    stream (VERIFY_CASES, stream), drawn lazily, histogram first.
 
-    Refuses sizes it cannot draw or check before drawing any case.
+    Refuses a seed or size it cannot draw or check before drawing any case.
     """
-    if num_cases < 0:
-        raise ValueError(f"num_cases must be >= 0, got {num_cases}")
-    if not 2 <= max_classes <= MAX_CLASSES:
-        raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes}")
-    if not max_classes <= max_teachers <= SWEEP_MAX_TEACHERS:
-        raise ValueError(f"max_teachers must lie in [{max_classes}, {SWEEP_MAX_TEACHERS}], "
-                         f"got {max_teachers}")
-    rng = derive_rng(seed, VERIFY_CASES, stream)
-    return ((random_histogram(rng, max_classes, max_teachers),
-             float(rng.uniform(*GAMMA_RANGE))) for _ in range(num_cases))
+    num_cases = _at_least("num_cases", num_cases, 0)
+    if (m := _integer(max_classes)) is None or not 2 <= m <= MAX_CLASSES:
+        raise ValueError(f"max_classes must lie in [2, {MAX_CLASSES}], got {max_classes!r}")
+    if (n := _integer(max_teachers)) is None or not m <= n <= SWEEP_MAX_TEACHERS:
+        raise ValueError(f"max_teachers must lie in [{m}, {SWEEP_MAX_TEACHERS}], "
+                         f"got {max_teachers!r}")
+    rng = derive_rng(_seed(seed), VERIFY_CASES, stream)
+    return num_cases, ((random_histogram(rng, m, n), float(rng.uniform(*GAMMA_RANGE)))
+                       for _ in range(num_cases))
 
 
 def soundness_sweep(num_cases: int, seed: int = 0,
                     grid: LambdaGrid | None = None,
                     max_classes: int = 5, max_teachers: int = 50) -> VerificationReport:
     """Audit the q bound, the per-query moments, and pure DP on random cases."""
-    cases = _cases(seed, 0, num_cases, max_classes, max_teachers)
+    num_cases, cases = _cases(seed, 0, num_cases, max_classes, max_teachers)
     grid = grid or LambdaGrid.default()
     report = VerificationReport(cases=num_cases, mc_cases=0)
     miss = report.stats.setdefault("miss_probability", CheckStats())
@@ -168,7 +167,7 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0) -> VerificationRep
     additive term keeps the band honest where trials*p is Poisson-small and
     the normal approximation understates upward fluctuations.
     """
-    cases = _cases(seed, 1, num_cases, max_classes=5, max_teachers=50)
+    num_cases, cases = _cases(seed, 1, num_cases, max_classes=5, max_teachers=50)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     report = VerificationReport(cases=0, mc_cases=num_cases)
@@ -190,10 +189,7 @@ def run_verification(num_cases: int = 1000, trials: int = 100_000,
                      grid: LambdaGrid | None = None) -> VerificationReport:
     """Full verification: soundness sweep plus (if trials > 0 and
     mc_cases > 0) MC cross-check."""
-    for name, value in (("trials", trials), ("mc_cases", mc_cases)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0 (0 skips the Monte Carlo "
-                             f"cross-check), got {value}")
+    trials, mc_cases = _at_least("trials", trials, 0), _at_least("mc_cases", mc_cases, 0)
     report = soundness_sweep(num_cases, seed=seed, grid=grid)
     if trials > 0 and mc_cases > 0:
         mc_report = mc_crosscheck(mc_cases, trials, seed=seed)

@@ -56,9 +56,9 @@ def test_criterion_2_moments_beat_strong_composition():
     """100 data-independent queries: moments give 5.30 +/- 0.01, below 5.80."""
     started = time.perf_counter()
     ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-    q_bound, alphas = per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)
+    q_bound, _ = per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)
     for i in range(100):
-        ledger.append(f"q{i}", q_bound, alphas)
+        ledger.append(f"q{i}", q_bound)
     guarantee = eps_for_delta(compose(ledger), 1e-5)
     # independent oracle: exhaustive evaluation over the order grid
     oracle = min((100 * 2 * 0.05**2 * l * (l + 1) + math.log(1e5)) / l

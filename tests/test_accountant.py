@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import warnings
 from unittest import mock
 
@@ -378,6 +379,48 @@ class TestMatchesReference:
                     reference_per_query_moment, hist, gamma, grid), q
 
 
+def packed(alphas):
+    """The type and IEEE bytes of each alpha."""
+    return [(type(alpha), struct.pack("<d", alpha)) for alpha in alphas]
+
+
+class TestDerivedRows:
+    """``_alphas``, which derives a ledger's rows from its q bounds, books
+    ``per_query_moment``'s alphas bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(min_value=0, max_value=250), min_size=2, max_size=100)
+           .filter(any),
+           gamma=st.floats(min_value=1e-300, max_value=20.0)
+           | st.sampled_from([1e-300, 0.05, 13.8, 14.0, 20.0]),
+           lambda_max=st.integers(min_value=1, max_value=32),
+           steps=st.integers(min_value=0, max_value=2**20))
+    def test_matches_per_query_moment(self, counts, gamma, lambda_max, steps):
+        hist, grid = VoteHistogram(tuple(counts)), LambdaGrid.up_to(lambda_max)
+        t = q_threshold(gamma)
+        # q = 0, the smallest q, q beside and at q_threshold, and ``steps`` ulps
+        # below it, where the denominator guard trips from gamma about 13.8.
+        points = [0.0, 5e-324, math.nextafter(t, 0.0), t, max(0.0, t - steps * math.ulp(t))]
+        booked = []
+        try:
+            booked.append(per_query_moment(hist, gamma, grid))
+        except ValueError:  # e^(gamma * deficit) overflows the q bound at large gamma
+            pass
+        for q in points:
+            with mock.patch.object(accountant, "q_upper_bound", lambda hist, gamma: q):
+                booked.append(per_query_moment(hist, gamma, grid))
+        for q_bound, alphas in booked:
+            assert packed(accountant._alphas(q_bound, gamma, grid.values)) == packed(alphas)
+
+    def test_denominator_guard_keeps_the_bounds(self):
+        gamma = 20.0
+        q = q_threshold(gamma) * (1 - 1e-14)  # 1 - e^(2 gamma) q is 7.1e-15 here
+        with pytest.raises(ValueError, match="stability guard"):
+            data_dependent_moment(q, gamma, 1)
+        row = accountant._alphas(q, gamma, GRID.values)
+        assert row == tuple(data_independent_moment(gamma, order) for order in GRID.values)
+
+
 class TestFloatArithmetic:
     """Every accountant function computes in Python floats, whatever real it is given."""
 
@@ -423,12 +466,18 @@ class TestFloatArithmetic:
                      "alpha_total(1) is not a number: '0.5'", id="str-total"),
         pytest.param(lambda: eps_for_delta({0: 0.5}, 1e-5),
                      "totals order must be >= 1, got 0", id="order-zero"),
+        # Order 1 was skipped silently, and a lone NaN read "epsilon is not finite: inf".
+        pytest.param(lambda: eps_for_delta({1: math.nan, 2: 1.0}, 1e-5),
+                     "alpha_total(1) is not a number: nan", id="nan-total"),
+        pytest.param(lambda: eps_for_delta({1: np.float64(math.nan)}, 1e-5),
+                     "alpha_total(1) is not a number: np.float64(nan)", id="lone-nan-total"),
         pytest.param(lambda: data_dependent_moment("x", 0.05, 1),
                      "q must be a real number, got 'x'", id="str-q"),
         pytest.param(lambda: data_dependent_moment(True, 0.05, 1),
                      "q must be a real number, got True", id="bool-q")])
     def test_other_arguments_are_refused_by_name(self, call, message):
-        # 0.04375, epsilon 0.784, epsilon 12.51 and a bare comparison TypeError before.
+        # 0.04375, epsilon 0.784, epsilon 12.51, a bare comparison TypeError and a
+        # skipped order before.
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
@@ -506,69 +555,77 @@ class TestPerQueryMoment:
 
 
 class TestQueryMoment:
-    """The checks ``PrivacyLedger.append`` makes on one booked query."""
+    """The checks ``PrivacyLedger.append`` makes on one booked query, and the row it derives."""
 
     def make(self, **changes):
-        fields = dict(query_id="q", q_bound=0.5, orders=(1, 2), alphas=(0.01, 0.03))
+        fields = dict(query_id="q", q_bound=0.5, orders=(1, 2))
         fields.update(changes)
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid(fields.pop("orders")))
         ledger.append(**fields)
         return ledger
 
     def test_valid(self):
-        assert self.make().alphas == [(0.01, 0.03)]
-
-    def test_alphas_whose_sum_overflows_are_valid(self):
-        assert self.make(alphas=(1e308, 1e308)).alphas == [(1e308, 1e308)]
+        ledger = self.make()
+        assert ledger.q_bounds == [0.5]
+        # 0.5 is above q_threshold(0.05): the row is the data-independent bounds.
+        assert ledger.row(0.5) == (data_independent_moment(0.05, 1),
+                                   data_independent_moment(0.05, 2))
 
     @pytest.mark.parametrize("changes", [
         dict(orders=(0, 1)),
-        dict(alphas=(0.01, -1e-3)),
-        dict(alphas=(math.nan, 0.03)),
         dict(q_bound=1.5),
-        dict(alphas=()),
-        dict(alphas=(0.01,)),
-        dict(alphas=(0.01, 0.03, 0.05)),
-        dict(alphas=(True, 0.03)),
         dict(q_bound=False),
-        dict(alphas=("0.01", 0.03)),
         dict(q_bound="0.5"),
         dict(query_id=1),
-        dict(alphas=(0.01, math.inf)),
-        dict(alphas=(-math.inf, 0.03)),
         dict(q_bound=math.inf),
         dict(q_bound=-0.5),
-        dict(orders=(1, 2, 3), alphas=(0.01, math.nan, 0.05)),  # min and max skip it
         dict(q_bound=math.nan),
-        dict(alphas=(0.01, 10**400)),
         dict(q_bound=-(10**400)),
+        dict(q_bound=None),
     ])
     def test_invalid(self, changes):
         with pytest.raises(ValueError):
             self.make(**changes)
 
-    def test_only_the_finite_bound_row_itself_skips_the_checks(self):
-        # At gamma 0.5 the bounds 2 gamma^2 l (l + 1) are 1.0 and 3.0.
-        ledger = PrivacyLedger(gamma=0.5, lambda_grid=LambdaGrid((1, 2)))
-        assert ledger.bound_row == (1.0, 3.0)
-        ledger.append("q", 0.5, ledger.bound_row)
-        assert ledger.alphas[0] is ledger.bound_row
-        with pytest.raises(ValueError, match="alpha"):
-            ledger.append("r", 0.5, (0.01, -1e-3))
-        # Equal to the bound row, but it holds ints: they are stored as floats.
-        ledger.append("s", 0.5, (1, 3))
-        assert ledger.alphas[-1] == (1.0, 3.0) and type(ledger.alphas[-1][1]) is float
-        assert ledger.query_ids == ["q", "s"]
-        # At gamma 1e200 the bounds overflow; the row itself is refused.
-        ledger = PrivacyLedger(gamma=1e200, lambda_grid=LambdaGrid((1, 2)))
-        assert ledger.bound_row == (math.inf, math.inf)
-        with pytest.raises(ValueError, match="finite"):
-            ledger.append("q", 0.5, ledger.bound_row)
+    def test_alphas_are_not_taken(self):
+        # A ledger once stored a free alpha tuple per entry, next to its q bound.
+        with pytest.raises(TypeError):
+            PrivacyLedger(gamma=0.05, lambda_grid=GRID).append("q", 0.5, (0.01,) * 8)
+
+    def test_row_is_derived_once_per_q_bound(self):
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
+        hist = VoteHistogram((40, 3))
+        q_bound, alphas = per_query_moment(hist, 0.05, GRID)
+        with mock.patch.object(accountant, "_alphas", wraps=accountant._alphas) as derive:
+            rows = [ledger.row(q) for q in (q_bound, q_bound, 0.75, 1.0, q_bound)]
+        assert derive.call_count == 3
+        assert rows[0] == alphas and rows[1] is rows[0] and rows[4] is rows[0]
+        assert rows[2] == rows[3] == per_query_moment(VoteHistogram((10, 10)), 0.05, GRID)[1]
+
+    @pytest.mark.parametrize("gamma, grid, message", [
+        # 2 gamma^2 l (l + 1) is inf: no row can be a float.
+        (1e200, (1, 2), "moment bounds at gamma=1e+200 overflow the float range"),
+        (0.05, (1, 10**160), "moment bounds at gamma=0.05 overflow the float range"),
+    ])
+    def test_ledger_whose_bounds_overflow_is_refused(self, gamma, grid, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid(grid))
+
+    def test_row_past_the_threshold_overflow_is_refused(self):
+        # The bounds are finite at gamma 200, but q_threshold overflows, as it
+        # does in per_query_moment.
+        ledger = PrivacyLedger(gamma=200.0, lambda_grid=GRID)
+        ledger.append("q", 0.0)
+        for call in (lambda: ledger.row(0.0), lambda: compose(ledger),
+                     lambda: per_query_moment(VoteHistogram((5, 3)), 200.0, GRID)):
+            with pytest.raises(ValueError, match="q threshold overflows at gamma=200.0"):
+                call()
 
     def test_numbers_are_stored_as_floats(self):
-        ledger = self.make(q_bound=np.float64(0.25), alphas=(0, np.float64(0.5)))
-        assert ledger.q_bounds == [0.25] and ledger.alphas == [(0.0, 0.5)]
-        assert {type(ledger.q_bounds[0]), *map(type, ledger.alphas[0])} == {float}
+        ledger = self.make(q_bound=np.float64(0.25))
+        assert ledger.q_bounds == [0.25] and type(ledger.q_bounds[0]) is float
+        ledger.append("r", 1)
+        assert ledger.q_bounds == [0.25, 1.0] and type(ledger.q_bounds[1]) is float
 
     @pytest.mark.parametrize("gamma", [True, "0.05", math.nan, math.inf, 0.0, -0.05,
                                        5e-324, pytest.param(10**400, id="10**400")])
@@ -584,9 +641,9 @@ class TestQueryMoment:
 
 def _uniform_ledger(num_queries, gamma=0.05, hist=VoteHistogram((10, 10))):
     ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
-    q_bound, alphas = per_query_moment(hist, gamma, GRID)
+    q_bound, _ = per_query_moment(hist, gamma, GRID)
     for i in range(num_queries):
-        ledger.append(f"q{i}", q_bound, alphas)
+        ledger.append(f"q{i}", q_bound)
     return ledger
 
 
@@ -605,7 +662,7 @@ class TestCompose:
         b = _uniform_ledger(12, hist=VoteHistogram((40, 3)))
         combined = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
         for ledger in (a, b):
-            for entry in zip(ledger.query_ids, ledger.q_bounds, ledger.alphas):
+            for entry in zip(ledger.query_ids, ledger.q_bounds):
                 combined.append(*entry)
         totals_a, totals_b, totals = compose(a), compose(b), compose(combined)
         for order in GRID.values:
@@ -614,18 +671,20 @@ class TestCompose:
 
     def test_adds_left_to_right(self):
         # fsum, numpy's pairwise sum and the compensated sum() of Python >= 3.12
-        # all give 1e16 + 2 here; each += rounds the 1.0 away.
+        # all give 1e16 + 2 here; each += rounds the 1.0 away.  No q bound has
+        # these alphas, so the rows are set by hand.
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid((1,)))
         for i, alpha in enumerate([1e16, 1.0, 1.0]):
-            ledger.append(f"q{i}", 0.5, (alpha,))
+            ledger.append(f"q{i}", i / 10)
+            ledger._rows[i / 10] = (alpha,)
         assert compose(ledger) == {1: 1e16}
 
-    def test_mismatched_grid_rejected(self):
-        ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        q_bound, alphas = per_query_moment(VoteHistogram((10, 10)), 0.05, LambdaGrid.up_to(4))
-        with pytest.raises(ValueError, match="grid"):
-            ledger.append("q", q_bound, alphas)
-        assert len(ledger) == 0
+    def test_rows_follow_the_ledger_grid(self):
+        hist = VoteHistogram((40, 3))
+        for grid in (GRID, LambdaGrid.up_to(4), LambdaGrid((3, 32))):
+            ledger = book([hist], ["q"], MechanismParams(gamma=0.05), grid)
+            assert ledger.row(ledger.q_bounds[0]) == per_query_moment(hist, 0.05, grid)[1]
+            assert list(compose(ledger)) == list(grid.values)
 
     def test_mismatched_gamma_rejected(self, tmp_path):
         # Only a ledger file holds a gamma per entry; the reader checks it.
@@ -645,8 +704,16 @@ class TestBook:
         ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05, seed=3), GRID)
         assert (ledger.gamma, ledger.lambda_grid, ledger.seed) == (0.05, GRID, 3)
         assert ledger.query_ids == ["a", "b", "c"]
-        assert list(zip(ledger.q_bounds, ledger.alphas)) == [
+        assert [(q, ledger.row(q)) for q in ledger.q_bounds] == [
             per_query_moment(h, 0.05, GRID) for h in hists]
+
+    def test_rows_of_book_are_not_derived_again(self):
+        hists = [VoteHistogram((40, 3)), VoteHistogram((10, 10)), VoteHistogram((40, 3))]
+        with mock.patch.object(accountant, "_alphas", wraps=accountant._alphas) as derive:
+            ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05), GRID)
+            compose(ledger)
+        # per_query_moment's own three calls: the ledger derived none.
+        assert derive.call_count == 3 and len(ledger._rows) == 2
 
     def test_ids_must_pair_with_histograms(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ makes the first round differ from the rest.  This test installs the
 benchmark's own tracer (``perfbench/tracer.py``), runs each command twice
 in one process and compares the counts.
 """
+import json
 import sys
 from pathlib import Path
+from unittest import mock
 
-from privagg import cli, q_threshold, q_upper_bound
+from privagg import accountant, cli, q_threshold, q_upper_bound
 from privagg.formats import read_votes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -94,3 +96,58 @@ def test_ledger_round_makes_the_pinned_calls(tmp_path):
                 **expect, **untouched}
     finally:
         tracer.uninstall()
+
+
+def escaped_ledger(path: Path) -> Path:
+    """The fixture ledger with ids that need a JSON escape, so that every entry
+    takes ``read_ledger``'s ``json`` path."""
+    lines = (DATA / "expected_ledger.jsonl").read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:1] + [line.replace('"query_id":"', '"query_id":"\\u00e9')
+                                           for line in lines[1:]]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_account_books_nothing(tmp_path):
+    # account derives each entry's moments from its q bound through private
+    # code alone: none of the calls that a ledger round pins per query.
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for ledger in (DATA / "expected_ledger.jsonl", escaped_ledger(tmp_path / "e.jsonl")):
+            assert cli.main(["account", str(ledger), "--delta", "1e-5"]) == 0
+            calls = tracer.take_round()["calls"]
+            assert calls["formats.read_ledger"] == calls["accountant.compose"] == 1
+            assert {name: calls[name] for name in (
+                "accountant.per_query_moment", "accountant.q_upper_bound",
+                "accountant.data_dependent_moment")} == dict.fromkeys(
+                ["accountant.per_query_moment", "accountant.q_upper_bound",
+                 "accountant.data_dependent_moment"], 0)
+    finally:
+        tracer.uninstall()
+
+
+def test_rows_are_derived_once_per_q_bound_and_never_by_aggregate(tmp_path, capsys):
+    derived, alphas = [], accountant._alphas
+
+    def counting(q, gamma, orders, *moment):
+        if not moment:  # a ledger's own derivation; per_query_moment passes its moment
+            derived.append(q)
+        return alphas(q, gamma, orders, *moment)
+
+    ledger = tmp_path / "ledger.jsonl"
+    gamma = 0.05
+    q_bounds = [json.loads(line)["q_bound"] for line in
+                (DATA / "expected_ledger.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    # Both sides of q_threshold, and repeated q bounds.
+    assert 0 < sum(q < q_threshold(gamma) for q in set(q_bounds)) < len(set(q_bounds)) < 100
+    with mock.patch.object(accountant, "_alphas", counting):
+        assert cli.main(["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", str(gamma),
+                         "--seed", "0", "--labels-out", str(tmp_path / "labels.jsonl"),
+                         "--ledger-out", str(ledger)]) == 0
+        assert derived == []  # book's rows are the ledger's
+        assert ledger.read_bytes() == (DATA / "expected_ledger.jsonl").read_bytes()
+        for path in (ledger, escaped_ledger(tmp_path / "e.jsonl")):
+            derived.clear()
+            assert cli.main(["account", str(path), "--delta", "1e-5"]) == 0
+            assert sorted(derived) == sorted(set(q_bounds))
+    capsys.readouterr()

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from privagg import (
     EnsembleConfig, Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
     VoteHistogram, book, data_dependent_moment, data_independent_moment, eps_for_delta,
-    mc_outcome_frequencies, q_threshold, strong_composition_eps, synth_query_votes,
-    tally_votes,
+    mc_outcome_frequencies, q_threshold, run_verification, strong_composition_eps,
+    synth_query_votes, tally_votes,
 )
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
+from privagg.verification import soundness_sweep
 from privagg.formats import (
     FileFormatError,
     dump_json,
@@ -171,6 +172,12 @@ class TestLedgerRoundTrip:
             read_ledger(path)
 
 
+def zero_dependent_alphas(obj):
+    for moment in obj["moments"]:
+        if moment["source"] == "DataDependent":
+            moment["alpha"] = 0.0
+
+
 class TestColumnarLedger:
     """A v1 ledger is read into columns and written back from them alone."""
 
@@ -194,7 +201,7 @@ class TestColumnarLedger:
         path = edit_ledger_line(tmp_path / "ledger.jsonl", line_index, swap)
         with pytest.raises(FileFormatError,
                            match=rf":{line_index + 1}: malformed ledger entry: source "
-                                 rf"'{source}' at lambda {order} disagrees with its alpha"):
+                                 rf"'{source}' at lambda {order} differs from '"):
             read_ledger(path)
 
     def test_missing_source_rejected(self, tmp_path):
@@ -208,6 +215,45 @@ class TestColumnarLedger:
                                 lambda obj: obj["moments"][0].update(source="DataIndependent"))
         assert main(["account", str(path), "--delta", "1e-5"]) == 1
         assert ":2: malformed ledger entry: source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, lines, message", [
+        # account once exited 0 here, with epsilon 3.1941 for 3.2469.
+        (zero_dependent_alphas, range(1, 101),
+         ":2: malformed ledger entry: alpha 0.0 at lambda 1 differs from "
+         "0.00019072002433289932, which its q_bound gives"),
+        (lambda obj: obj["moments"][2].update(alpha=math.nextafter(obj["moments"][2]["alpha"],
+                                                                   1.0)), [1],
+         ":2: malformed ledger entry: alpha 0.0006032035410081957 at lambda 3 differs from "
+         "0.0006032035410081956, which its q_bound gives"),
+        (lambda obj: obj["moments"][7].update(source="DataIndependent"), [3],
+         ":4: malformed ledger entry: source 'DataIndependent' at lambda 8 differs from "
+         "'DataDependent', which its q_bound gives"),
+    ], ids=["zeroed-alphas", "one-ulp", "independent-source"])
+    def test_account_refuses_moments_its_q_bound_does_not_give(self, tmp_path, capsys, edit,
+                                                               lines, message):
+        text = (DATA / "expected_ledger.jsonl").read_text().splitlines()
+        for index in lines:
+            obj = json.loads(text[index])
+            edit(obj)
+            text[index] = formats._dump(obj)
+        path = write(tmp_path / "ledger.jsonl", "\n".join(text) + "\n")
+        out = tmp_path / "guarantee.json"
+        assert main(["account", str(path), "--delta", "1e-5", "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+        assert not out.exists()
+
+    def test_true_alpha_is_refused_where_the_row_holds_one(self, tmp_path):
+        # At gamma 0.5 the data-independent bound at order 1 is 2 * 0.25 * 2 = 1.0.
+        ledger = PrivacyLedger(gamma=0.5, lambda_grid=GRID)
+        ledger.append("q", 0.75)
+        assert ledger.row(0.75)[0] == 1.0  # and Python compares true as 1.0
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(path, ledger)
+        text = path.read_text()
+        write(path, text.replace('{"alpha":1.0,', '{"alpha":true,', 1))
+        with pytest.raises(FileFormatError, match=":2: malformed ledger entry: 'alpha' holds "
+                                                  "a boolean, not a number"):
+            read_ledger(path)
 
 
 def edit_ledger_line(path: Path, line_index: int, edit) -> Path:
@@ -328,52 +374,44 @@ query_ids = (st.integers(0, 10**6).map("q{:05d}".format)
              | st.text(alphabet=st.characters(codec="utf-8"), max_size=12)
              | st.sampled_from(['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é✓😀",
                                 "\u2028", "q0000001"]))
-special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0])
-finite_floats = st.floats(min_value=0.0, allow_infinity=False)
-alphas = (finite_floats | special_floats | st.integers(0, 3)
-          | finite_floats.map(np.float64) | st.integers(0, 3).map(np.int64))
 
 
 def entry_obj(ledger: PrivacyLedger, index: int) -> dict:
     """Entry ``index`` of ``ledger`` as the object a v1 line holds."""
     moments = []
-    for order, alpha in zip(ledger.lambda_grid.values, ledger.alphas[index]):
+    q_bound = ledger.q_bounds[index]
+    for order, alpha in zip(ledger.lambda_grid.values, ledger.row(q_bound)):
         bound = data_independent_moment(ledger.gamma, order)
         moments.append({"lambda": order, "alpha": alpha,
                         "source": "DataDependent" if alpha < bound else "DataIndependent"})
     return {"query_id": ledger.query_ids[index], "gamma": ledger.gamma,
-            "q_bound": ledger.q_bounds[index], "moments": moments}
+            "q_bound": q_bound, "moments": moments}
 
 
 def encoded_entries(ledger: PrivacyLedger) -> list[str]:
     return [line.removesuffix("\n") for line in formats._entry_lines(ledger)]
 
 
-def bound_rows(bounds: tuple[float, ...]):
-    """The data-independent row, the same with each zero bound as -0.0, and
-    rows with one alpha one ulp below or above its bound."""
-    def nudge(k_toward):
-        k, toward = k_toward
-        return (*bounds[:k], math.nextafter(bounds[k], toward), *bounds[k + 1:])
-    return (st.just(bounds) | st.just(tuple(bound or -0.0 for bound in bounds))
-            | st.tuples(st.integers(0, len(bounds) - 1),
-                        st.sampled_from([0.0, math.inf])).map(nudge))
+def q_bounds(gamma: float):
+    """q bounds in and at the ends of [0, 1], at, beside and below q_threshold(gamma),
+    and where 1 - e^(2 gamma) q is below the accountant's denominator guard."""
+    t = q_threshold(gamma)
+    return (st.floats(0.0, 1.0) | st.floats(0.0, 1.0).map(lambda f: f * t)
+            | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324, math.nextafter(t, 0.0), t,
+                               t * (1 - 1e-14)]))
 
 
 @st.composite
 def ledgers(draw):
     grid = LambdaGrid(tuple(sorted(draw(st.sets(st.integers(1, 2**40), min_size=1,
                                                   max_size=9)))))
+    # The denominator guard trips from gamma about 13.8; at gamma 1e-300 every bound is 0.
     gamma = draw(st.floats(min_value=1e-3, max_value=3.0)
                  | st.floats(min_value=1e-3, max_value=3.0).map(np.float64)
-                 | st.integers(1, 3) | st.sampled_from([1e-300, 1e100, 0.1 + 0.2]))
+                 | st.integers(1, 3) | st.sampled_from([1e-300, 0.1 + 0.2, 20.0]))
     ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=draw(st.integers(0, 2**64 - 1)))
-    rows = (st.lists(alphas, min_size=len(grid.values), max_size=len(grid.values))
-            | bound_rows(ledger.bound_row))
     for query_id in draw(st.lists(query_ids, max_size=4, unique=True)):
-        ledger.append(query_id, draw(st.floats(0.0, 1.0)
-                                     | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324])),
-                      draw(rows))
+        ledger.append(query_id, draw(q_bounds(ledger.gamma)))
     return ledger
 
 
@@ -385,38 +423,33 @@ class TestEncoders:
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
                                            for i in range(len(ledger))]
 
-    @pytest.mark.parametrize("alpha", [-0.0, 5e-324, 1e300, 0.1 + 0.2, math.inf])
-    @pytest.mark.parametrize("q_bound", [0.0, 1.0])
-    def test_entry_edge_values(self, alpha, q_bound):
-        ledger = PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid((1, 2)))
-        if alpha == math.inf:
-            # json writes Infinity where repr writes inf; no ledger holds it.
-            with pytest.raises(ValueError, match="finite"):
-                ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
-            return
-        ledger.append('q"\\\n\x01é', q_bound, (alpha, 0.25))
+    @pytest.mark.parametrize("q_bound", [0.0, -0.0, 5e-324, 0.1 + 0.2, 1.0])
+    @pytest.mark.parametrize("gamma", [0.05, 20.0])
+    def test_entry_edge_values(self, gamma, q_bound):
+        ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2)))
+        ledger.append('q"\\\n\x01é', q_bound)
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, 0))]
 
     @pytest.mark.parametrize("gamma", [1e-300, 0.05])
-    def test_bound_row_signed_zero(self, gamma):
-        # At gamma 1e-300 every bound underflows to 0.0, which -0.0 equals.
+    def test_derived_rows_hold_no_negative_zero(self, gamma):
+        # A row equal to the bounds takes the bound row head, so a -0.0 in it
+        # would be written as 0.0.  At gamma 1e-300 every bound underflows to 0.0.
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid((1, 2)))
-        bounds = ledger.bound_row
-        ledger.append("q0", 0.5, bounds)
-        ledger.append("q1", 0.5, tuple(bound or -0.0 for bound in bounds))
+        for i, q_bound in enumerate([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]):
+            ledger.append(f"q{i}", q_bound)
+            assert all(math.copysign(1.0, alpha) == 1.0 for alpha in ledger.row(q_bound))
         assert encoded_entries(ledger) == [formats._dump(entry_obj(ledger, i))
-                                           for i in range(2)]
+                                           for i in range(len(ledger))]
 
     def test_bound_row_head_is_formatted_once_after_another_gamma_is_booked(
             self, tmp_path, monkeypatch):
         # Booking at another gamma replaces the accountant's cached row; the
-        # first ledger's entries still hold its own bound_row object.
+        # first ledger's rows are still equal to the bounds its writer finds.
         hists = [VoteHistogram((10, 10))] * 20
         first = book(hists, [f"q{i}" for i in range(20)], MechanismParams(gamma=0.05), GRID)
         book(hists[:1], ["r"], MechanismParams(gamma=0.3), GRID)
-        assert all(alphas is first.bound_row for alphas in first.alphas)
-        heads, head = [], formats._head
-        monkeypatch.setattr(formats, "_head", lambda *args: heads.append(args) or head(*args))
+        heads, slots = [], formats._slots
+        monkeypatch.setattr(formats, "_slots", lambda *args: heads.append(args) or slots(*args))
         write_ledger(tmp_path / "ledger.jsonl", first)
         assert len(heads) == 1  # the bound row head itself
         monkeypatch.undo()
@@ -458,7 +491,7 @@ def read_outcome(path: Path) -> str:
     except FileFormatError as exc:
         return str(exc)
     return repr((ledger.gamma, ledger.lambda_grid, ledger.seed, ledger.query_ids,
-                 ledger.q_bounds, ledger.alphas))
+                 ledger.q_bounds, [ledger.row(q) for q in ledger.q_bounds]))
 
 
 RAW = "@raw@"  # stands for a literal spliced into the dumped line
@@ -476,6 +509,14 @@ def set_query_id(query_id):
     return lambda obj, k: obj.update(query_id=query_id)
 
 
+def nudge_alpha(obj, k):
+    """One ulp up from the alpha of order ``k``, as the literal that replaces RAW."""
+    moment = obj["moments"][k]
+    text = repr(math.nextafter(moment["alpha"], math.inf))
+    moment["alpha"] = RAW
+    return text
+
+
 def swap_source(obj, k):
     moment = obj["moments"][k]
     moment["source"] = {"DataDependent": "DataIndependent"}.get(moment["source"],
@@ -491,6 +532,7 @@ LINE_EDITS = {
     "huge-integer-alpha": set_alpha("1" + "0" * 400),
     "minus-zero-alpha": set_alpha("-0.0"),
     "exponent-alpha": set_alpha("25E-1"),
+    "one-ulp-alpha": nudge_alpha,
     "q-bound-above-one": set_q_bound("1.5"),
     "integer-q-bound": set_q_bound("0"),
     "swapped-source": swap_source,
@@ -550,8 +592,8 @@ class TestLedgerReadPaths:
         if plain_ids:  # ids that need no escape, so that their lines match the pattern
             plain = PrivacyLedger(gamma=ledger.gamma, lambda_grid=ledger.lambda_grid,
                                   seed=ledger.seed)
-            for i, entry in enumerate(zip(ledger.q_bounds, ledger.alphas)):
-                plain.append(f"q{i}", *entry)
+            for i, q_bound in enumerate(ledger.q_bounds):
+                plain.append(f"q{i}", q_bound)
             ledger = plain
         lines = canonical_lines(ledger)
         index = data.draw(st.integers(1, len(ledger)), label="line")
@@ -561,15 +603,14 @@ class TestLedgerReadPaths:
         write(path, "\n".join(lines) + "\n")
         assert read_outcome(path) == self.json_only(path)
 
-    # At gamma 1e-300 every bound is 0.0, which the row's -0.0 alphas equal.
+    # At gamma 1e-300 every bound is 0.0.
     @pytest.mark.parametrize("gamma", [0.05, 1e-300])
     @pytest.mark.parametrize("edit", [*LINE_EDITS, "repeated-line",
                                       "raw-control-character-id", "spaces"])
     def test_paths_agree_on_bound_row_edits(self, tmp_path, gamma, edit):
         ledger = PrivacyLedger(gamma=gamma, lambda_grid=GRID)
-        bounds = tuple(bound or -0.0 for bound in ledger.bound_row)
         for query_id in ("q1", "q2"):
-            ledger.append(query_id, 0.75, bounds)
+            ledger.append(query_id, 0.75)  # above q_threshold: the row is the bounds
         lines = canonical_lines(ledger)
         assert lines[1:] == [formats._dump(entry_obj(ledger, i)) for i in range(2)]
         edit_line(lines, 1, 3, edit)
@@ -609,24 +650,26 @@ class TestLedgerReadPaths:
             assert len(loaded) == 100
             assert texts == [path.read_text().splitlines()[0]]  # the header alone
             # Data-independent entries take the bound row path alone.
-            bounds = loaded.bound_row
-            assert len(matched) == sum(alphas != bounds for alphas in loaded.alphas)
+            bounds = loaded.row(1.0)  # no q_threshold reaches 1: the data-independent row
+            assert len(matched) == sum(loaded.row(q) != bounds for q in loaded.q_bounds)
             reached.append(len(matched))
         assert reached[0] == 61  # the fixture's 39 data-independent entries skip it
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: swap_source(obj, 2), "malformed ledger entry: source 'DataDependent' at "
-                                          "lambda 3 disagrees with its alpha, which gives "
-                                          "'DataIndependent'"),
+                                          "lambda 3 differs from 'DataIndependent', which its "
+                                          "q_bound gives"),
+        (lambda obj: obj.update(q_bound=0.001), "malformed ledger entry: alpha "
+                                                "0.010000000000000002 at lambda 1 differs from "
+                                                "0.00021033078823986715, which its q_bound gives"),
         (lambda obj: obj.update(q_bound=1.5),
          "malformed ledger entry: q_bound must lie in [0, 1], got 1.5"),
         (lambda obj: obj.update(query_id="q1"), "duplicate query_id 'q1' (first on line 2)"),
-    ], ids=["swapped-source", "q-bound-1.5", "duplicate-id"])
+    ], ids=["swapped-source", "usable-q-bound", "q-bound-1.5", "duplicate-id"])
     def test_bound_row_errors(self, tmp_path, edit, message):
         ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
-        bounds = ledger.bound_row
         for query_id in ("q1", "q2"):
-            ledger.append(query_id, 0.75, bounds)
+            ledger.append(query_id, 0.75)
         lines = canonical_lines(ledger)
         obj = json.loads(lines[2])
         edit(obj)
@@ -739,10 +782,10 @@ class TestAggregate:
         labels, ledger = aggregate_votes(query_ids, hists, MechanismParams(gamma=0.05), GRID)
         assert labels == [0, 1, 2]
         assert len(ledger) == 3
-        for q_bound, alphas in zip(ledger.q_bounds, ledger.alphas):
+        for q_bound in ledger.q_bounds:
             assert q_bound < q_threshold(0.05)
             assert all(alpha < data_independent_moment(0.05, order)
-                       for order, alpha in zip(GRID.values, alphas))
+                       for order, alpha in zip(GRID.values, ledger.row(q_bound)))
 
     def test_deterministic_in_seed(self):
         a_labels, a_ledger = aggregate_head(seed=7)
@@ -913,20 +956,29 @@ class TestCliAggregateAccount:
 
 
 class TestJsonArtifactsAreFinite:
-    def test_infinite_epsilon_is_an_error_not_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("gamma, message", [
+        # The bounds are finite, but q_threshold overflows, as in per_query_moment.
+        ("200.0", ":2: malformed ledger entry: q threshold overflows at gamma=200.0"),
+        ("1e+200", ":1: malformed ledger header: moment bounds at gamma=1e+200 overflow"),
+    ])
+    def test_ledger_whose_moments_are_no_floats_is_an_error_not_json(self, tmp_path, capsys,
+                                                                    gamma, message):
         # Strong composition at gamma 1e200 overflows 4*T*gamma^2; account
-        # once wrote "epsilon": Infinity, which is not JSON.
-        ledger = PrivacyLedger(gamma=1e200, lambda_grid=LambdaGrid((1, 2)))
-        ledger.append("q0", 0.0, (0.0, 0.0))
-        path = tmp_path / "ledger.jsonl"
-        write_ledger(path, ledger)
+        # once wrote "epsilon": Infinity, which is not JSON.  No ledger with an
+        # entry at that gamma has a row of float moments, so it is refused first.
+        with pytest.raises(ValueError, match="StrongComposition epsilon is not finite"):
+            strong_composition_eps(1e200, 1, 1e-5)
+        path = write(tmp_path / "ledger.jsonl",
+                     f'{{"format_version":1,"gamma":{gamma},"lambda_grid":[1,2],"seed":0}}\n'
+                     f'{{"gamma":{gamma},"moments":[{{"alpha":0.0,"lambda":1,"source":'
+                     '"DataDependent"},{"alpha":0.0,"lambda":2,"source":"DataDependent"}],'
+                     '"q_bound":0.0,"query_id":"q0"}\n')
         out = tmp_path / "guarantee.json"
         for output in (["--output", str(out)], []):
             assert main(["account", str(path), "--delta", "1e-5", *output]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "StrongComposition" in captured.err
-            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}{message}")
+            assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -960,9 +1012,11 @@ class TestCliOverflow:
 
         path = edit_ledger_line(tmp_path / "ledger.jsonl", 1, edit)
         assert main(["account", str(path), "--delta", "1e-5"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}:2: malformed ledger entry: '{field}' must be finite and "
-            "non-negative, got inf\n")
+        # A stored alpha is compared with its row exactly, as the integer it is.
+        assert capsys.readouterr().err == f"error: {path}:2: malformed ledger entry: " + (
+            f"alpha {10**400} at lambda 1 differs from 0.00019072002433289932, which its "
+            "q_bound gives\n" if field == "alpha"
+            else "'q_bound' must be finite and non-negative, got inf\n")
 
 
 class TestCliSimulate:
@@ -1273,6 +1327,22 @@ INTEGER_CALLS = {
                                "num_queries must be an integer, got {!r}"),
     "eps_for_delta": (lambda k: eps_for_delta({k: 0.5}, 1e-5),
                       "totals order must be an integer, got {!r}"),
+    # run_verification(num_cases=True) reported True cases, and 2.5 raised a bare TypeError.
+    "run_verification-num_cases": (lambda k: run_verification(num_cases=k, trials=0).cases,
+                                   "num_cases must be an integer, got {!r}"),
+    "run_verification-mc_cases": (
+        lambda k: run_verification(num_cases=1, trials=10, mc_cases=k).mc_cases,
+        "mc_cases must be an integer, got {!r}"),
+    "run_verification-trials": (
+        lambda k: run_verification(num_cases=0, trials=k, mc_cases=1).to_dict(),
+        "trials must be an integer, got {!r}"),
+    # soundness_sweep ran max_classes=3.0, and seed=True drew seed 1's cases.
+    "soundness_sweep-max_classes": (lambda k: soundness_sweep(1, max_classes=k).to_dict(),
+                                    "max_classes must lie in [2, 16], got {!r}"),
+    "soundness_sweep-max_teachers": (
+        lambda k: soundness_sweep(1, max_classes=2, max_teachers=k).to_dict(),
+        "max_teachers must lie in [2, 709], got {!r}"),
+    "soundness_sweep-seed": (lambda k: soundness_sweep(1, seed=k).to_dict(), SEED_MESSAGE),
 }
 
 
