@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _real, _seed, plurality
+from .mechanism import (MechanismParams, VoteHistogram, _at_least, _gamma, _integer, _real, _seed,
+                        plurality)
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
 # data-dependent bound.  Just below the validity threshold it is about
@@ -71,20 +72,15 @@ class LambdaGrid:
     @classmethod
     def up_to(cls, lambda_max: int) -> "LambdaGrid":
         """Grid of all integers 1..lambda_max."""
-        return cls(tuple(range(1, _at_least("lambda_max", lambda_max, 1) + 1)))
+        k = _at_least("lambda_max", lambda_max, 1)
+        try:
+            return cls(tuple(range(1, k + 1)))
+        except OverflowError:  # len() of the range is past sys.maxsize
+            raise ValueError(f"lambda_max={k} orders are more than a tuple can hold") from None
 
     @classmethod
     def default(cls) -> "LambdaGrid":
         return cls.up_to(8)
-
-
-def _at_least(name: str, value, least: int) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= ``least``."""
-    if (k := _integer(value)) is None:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if k < least:
-        raise ValueError(f"{name} must be >= {least}, got {k}")
-    return k
 
 
 def _finite_nonnegative(name: str, value) -> float:
@@ -177,15 +173,21 @@ def data_independent_moment(gamma: float, order: int) -> float:
 
     Defined at order 0 as well (returning 0) for convenience in tests.
     """
-    gamma = _gamma(gamma)
-    order = _at_least("order", order, 0)
-    return 2.0 * gamma * gamma * order * (order + 1)
+    return _bound(_gamma(gamma), _at_least("order", order, 0))
+
+
+def _bound(gamma: float, order: int) -> float:
+    """2 * gamma^2 * l * (l + 1) of a float gamma; ValueError naming an order past floats."""
+    try:
+        return 2.0 * gamma * gamma * order * (order + 1)
+    except OverflowError:  # an int of 2**1024 or more has no float
+        raise ValueError(f"order {order} is beyond the float range") from None
 
 
 @functools.lru_cache(maxsize=1)
 def _independent_row(gamma: float, orders: tuple[int, ...]) -> tuple[float, ...]:
     """``data_independent_moment`` at each order: the one data-independent row object."""
-    return tuple([2.0 * gamma * gamma * order * (order + 1) for order in orders])
+    return tuple([_bound(gamma, order) for order in orders])
 
 
 def q_threshold(gamma: float) -> float:

@@ -12,22 +12,21 @@ must agree on the class count.  Ledgers start with a header object carrying
 and a label file repeats its ledger's header and query ids.  Parse errors
 always name the offending line, a query_id may appear only once per votes
 or ledger file, and a ledger holding a JSON boolean where a number belongs
-is rejected.
+is rejected.  A header's gamma, orders and seed take the rules of
+``PrivacyLedger`` and ``LambdaGrid``, as ``aggregate``'s arguments do.
 
 Every line of a ledger or label file is exactly the bytes of
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for its object.
 Each moment of a ledger entry carries a ``source``: "DataDependent" where
 its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 "DataIndependent" otherwise.  Both are derived from the entry's q bound
-(``PrivacyLedger.row``): writers print them, and readers reject a line whose
-stored alpha or source differs, naming the order.  An entry line is a head,
-the text up to ``"q_bound":`` (gamma, then each order with its alpha and
-source), and a tail, ``<q bound>,"query_id":<id>}``.  Writers fill one head
-template per file; an entry whose alphas equal the bounds takes the ledger's
-constant bound row head.  The reader takes an entry from that head and the
-tail pattern, from one pattern built from the same template, or from
-``json``, and every entry then takes one append-and-check step, so the
-checks and messages are the same on every path.
+(``PrivacyLedger.row``).  An entry line is a head, the text up to
+``"q_bound":`` (gamma, then each order with its alpha and source), and a
+tail, ``<q bound>,"query_id":<id>}``.  The head is a function of the row
+(``_heads``), so writers print it, and the reader accepts a line that is
+the head its tail's q bound gives, then that tail, parsing the tail alone.
+Any other line goes through ``json``, and a stored alpha or source that
+differs from the row is rejected, naming the order.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.
 """
@@ -160,18 +159,23 @@ def _slots(alphas, bounds) -> list:
     """Each order's alpha and ``source``: "DataDependent" where the alpha is below its bound."""
     slots = []
     for alpha, bound in zip(alphas, bounds):
-        slots += alpha, "DataDependent" if alpha < bound else "DataIndependent"
+        slots.append(alpha)  # two appends build no tuple: every v1 head comes through here
+        slots.append("DataDependent" if alpha < bound else "DataIndependent")
     return slots
 
 
-def _layout(ledger: PrivacyLedger) -> tuple[str, tuple[float, ...], str]:
-    """The ``%`` head template, whose slots are ``_slots`` (``%r``, ``%s``), the
-    data-independent row, and that row's head."""
+def _heads(ledger: PrivacyLedger):
+    """The data-independent row, and ``head(alphas)``: an entry line's text up to ``"q_bound":``,
+    the bound row head (formatted once) or else the ``%`` head template filled."""
     bounds = _independent_row(ledger.gamma, ledger.lambda_grid.values)
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
                         for order in ledger.lambda_grid.values])
     template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
-    return template, bounds, template % tuple(_slots(bounds, bounds))
+    bound_head = template % tuple(_slots(bounds, bounds))
+
+    def head(alphas) -> str:
+        return bound_head if alphas == bounds else template % tuple(_slots(alphas, bounds))
+    return bounds, head
 
 
 def _entry_lines(ledger: PrivacyLedger):
@@ -180,12 +184,9 @@ def _entry_lines(ledger: PrivacyLedger):
     ``json`` writes every finite float as ``float.__repr__`` does, and a
     ledger holds only ``str`` ids, ``int`` orders and finite floats (no -0.0).
     """
-    template, bounds, bound_head = _layout(ledger)
-    row = ledger.row
+    (_, head), row, quote = _heads(ledger), ledger.row, encode_basestring_ascii
     for query_id, q_bound in zip(ledger.query_ids, ledger.q_bounds):
-        alphas = row(q_bound)
-        head = bound_head if alphas == bounds else template % tuple(_slots(alphas, bounds))
-        yield f'{head}{q_bound!r},"query_id":{encode_basestring_ascii(query_id)}}}\n'
+        yield f'{head(row(q_bound))}{q_bound!r},"query_id":{quote(query_id)}}}\n'
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
@@ -194,12 +195,12 @@ def write_ledger(path, ledger: PrivacyLedger) -> None:
         fh.writelines(_entry_lines(ledger))
 
 
-# A JSON number in float form (with a fraction or an exponent), ASCII digits
-# only: float() of its text is the float json.loads gives for it.
-_FLOAT_TEXT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-# An entry's tail: its q bound, then its id as a JSON string without escapes
-# or control characters, so that the captured text is the id itself.
-_TAIL = re.compile(_FLOAT_TEXT + r',"query_id":"([^"\\\x00-\x1f]*)"\}')
+# An entry's tail: its q bound in float form (a fraction or an exponent, ASCII
+# digits), whose float() is json.loads', then its id as a JSON string without
+# escapes or control characters, so that the captured text is the id itself.
+_TAIL = re.compile(r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+                   r',"query_id":"([^"\\\x00-\x1f]*)"\}')
+_Q_KEY = '"q_bound":'
 
 
 def _json_entry(obj, ledger: PrivacyLedger) -> tuple:
@@ -219,33 +220,18 @@ def _json_entry(obj, ledger: PrivacyLedger) -> tuple:
     return query_id, q_bound, slots
 
 
-def _check_type(name: str, value, types: tuple[type, ...], what: str) -> None:
-    """Raise ValueError naming ``name`` unless ``type(value)`` is in ``types``.
-
-    The exact type is required: ``float()``, ``int()`` and ``tuple()`` would
-    coerce strings, and Python compares a JSON boolean as 1 or 0.
-    """
-    if type(value) not in types:
-        held = "a boolean" if type(value) is bool else f"a {type(value).__name__}"
-        raise ValueError(f"{name!r} holds {held}, not {what}")
-
-
 def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
     try:
         header = json.loads(line)
         if not isinstance(header, dict):
             raise ValueError(f"expected an object, got {type(header).__name__}")
         version = header.get("format_version")
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:  # a JSON true equals 1
             raise ValueError(f"unsupported format_version {version!r}")
-        _check_type("format_version", version, (int,), "an integer")
-        gamma, grid, seed = header["gamma"], header["lambda_grid"], header["seed"]
-        _check_type("gamma", gamma, (int, float), "a number")
-        _check_type("lambda_grid", grid, (list,), "a list")
-        for order in grid:
-            _check_type("lambda_grid", order, (int,), "an integer")
-        _check_type("seed", seed, (int,), "an integer")
-        ledger = PrivacyLedger(gamma=gamma, lambda_grid=LambdaGrid(tuple(grid)), seed=seed)
+        if type(grid := header["lambda_grid"]) is not list:  # tuple() would split a string
+            raise ValueError(f"lambda_grid must be a list, got {grid!r}")
+        ledger = PrivacyLedger(gamma=header["gamma"], lambda_grid=LambdaGrid(tuple(grid)),
+                               seed=header["seed"])
     except json.JSONDecodeError as exc:
         raise _fail(path, line_no, f"invalid JSON header: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -256,8 +242,8 @@ def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
 def read_ledger(path) -> PrivacyLedger:
     """Parse a ledger JSONL file (header line, then one entry per query).
 
-    An entry's fields come from the bound row head and ``_TAIL``, from the
-    entry pattern, or from ``json``; every entry then takes the same checks.
+    A line that is the head ``_heads`` gives for its tail's q bound, then that
+    tail, has only the tail parsed; any other goes through ``json`` and the row check.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _content_lines(fh)
@@ -265,33 +251,27 @@ def read_ledger(path) -> PrivacyLedger:
         if not line:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
-        template, bounds, bound_head = _layout(ledger)
-        orders, bound_slots = ledger.lambda_grid.values, _slots(bounds, bounds)
-        # The lines _entry_lines writes, and others with float-form numbers and
-        # any source word.  Groups: alpha and source per order, q bound, id.
-        match_entry = re.compile(re.escape(template).replace('"%s"', '"([A-Za-z]+)"')
-                                 .replace("%r", _FLOAT_TEXT) + _TAIL.pattern).fullmatch
+        (bounds, head), orders = _heads(ledger), ledger.lambda_grid.values
         match_tail, append, row, q_bounds = (_TAIL.fullmatch, ledger.append, ledger.row,
                                              ledger.q_bounds)
         seen: dict[str, int] = {}
         for line_no, line in lines:
             try:
-                if line.startswith(bound_head) and (
-                        tail := match_tail(line, len(bound_head))):
-                    query_id, q_bound, slots = tail[2], float(tail[1]), bound_slots
-                elif match := match_entry(line):
-                    # Gamma and the orders are the header's.
-                    *slots, q_bound, query_id = match.groups()
-                    q_bound, slots[::2] = float(q_bound), map(float, slots[::2])
+                try:
+                    tail = match_tail(line, start := line.rfind(_Q_KEY) + len(_Q_KEY))
+                    canonical = tail and line[:start] == head(row(q_bound := float(tail[1])))
+                except ValueError:  # no row where q_threshold overflows; json names other faults
+                    canonical = False
+                if canonical:
+                    append(query_id := tail[2], q_bound)
                 else:
                     query_id, q_bound, slots = _json_entry(json.loads(line), ledger)
-                append(query_id, q_bound)
-                alphas = row(q_bounds[-1])
-                if slots != (given := bound_slots if alphas == bounds else _slots(alphas, bounds)):
-                    k = [a == b for a, b in zip(slots, given)].index(False)
-                    raise ValueError(f"{('alpha', 'source')[k % 2]} {slots[k]!r} at lambda "
-                                     f"{orders[k // 2]} differs from {given[k]!r}, which its "
-                                     "q_bound gives")
+                    append(query_id, q_bound)
+                    if slots != (given := _slots(row(q_bounds[-1]), bounds)):
+                        k = [a == b for a, b in zip(slots, given)].index(False)
+                        raise ValueError(f"{('alpha', 'source')[k % 2]} {slots[k]!r} at lambda "
+                                         f"{orders[k // 2]} differs from {given[k]!r}, which "
+                                         "its q_bound gives")
             except json.JSONDecodeError as exc:
                 raise _fail(path, line_no, f"invalid JSON: {exc.msg}") from exc
             except (KeyError, TypeError, ValueError) as exc:

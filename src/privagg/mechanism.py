@@ -94,6 +94,15 @@ def _integer(value) -> int | None:
     return int(value)
 
 
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= ``least``."""
+    if (k := _integer(value)) is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+    return k
+
+
 def _seed(value) -> int:
     """``value`` as an int master seed; ValueError unless it is an integer (``_integer``)
     in ``derive_rng``'s domain [0, 2^64).  The seed rule of every seed argument."""

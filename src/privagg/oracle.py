@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .mechanism import VoteHistogram, _draw_noise, _gamma, _integer, _seed
+from .mechanism import VoteHistogram, _at_least, _draw_noise, _gamma, _seed
 from .seeding import derive_rng, MECHANISM_NOISE
 
 MAX_CLASSES = 16
@@ -292,11 +292,7 @@ def mc_outcome_frequencies(hist: VoteHistogram, gamma: float, trials: int,
     vectorized in chunks.  It draws from (seed, 0, 0), the stream of
     ``aggregate``'s query 0, so ``trials=1`` replays that query's label.
     """
-    gamma, seed, count = _gamma(gamma), _seed(seed), _integer(trials)
-    if count is None:
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if count < 1:
-        raise ValueError(f"trials must be >= 1, got {count}")
+    gamma, seed, count = _gamma(gamma), _seed(seed), _at_least("trials", trials, 1)
     import numpy as np
     m = hist.num_classes
     counts_row = np.asarray(hist.counts, dtype=float)
@@ -357,8 +353,8 @@ def exact_moment(pair: AdjacentPair, gamma: float, order: int) -> float:
     moment infinite (impossible for Laplace noise at supported sizes, so
     +inf here signals an internal error).
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if type(order) is not int or order < 1:
+        order = _at_least("order", order, 1)
     p = outcome_distribution(pair.d, gamma).log_probs
     q = outcome_distribution(pair.d_prime, gamma).log_probs
     # Plain loops: a comprehension here would be a closure over order and

@@ -24,8 +24,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .accountant import LambdaGrid, _at_least, per_query_moment, q_upper_bound
-from .mechanism import VoteHistogram, _integer, _seed, plurality
+from .accountant import LambdaGrid, per_query_moment, q_upper_bound
+from .mechanism import VoteHistogram, _at_least, _integer, _seed, plurality
 from .oracle import (
     MAX_CLASSES,
     QUADRATURE_TOLERANCE,
@@ -168,8 +168,7 @@ def mc_crosscheck(num_cases: int, trials: int, seed: int = 0) -> VerificationRep
     the normal approximation understates upward fluctuations.
     """
     num_cases, cases = _cases(seed, 1, num_cases, max_classes=5, max_teachers=50)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _at_least("trials", trials, 1)
     report = VerificationReport(cases=0, mc_cases=num_cases)
     agreement = report.stats.setdefault("mc_agreement", CheckStats())
 

@@ -50,6 +50,18 @@ class TestLambdaGrid:
         grid = LambdaGrid((np.int64(1), np.int32(3)))
         assert grid.values == (1, 3) and all(type(v) is int for v in grid.values)
 
+    # Each raised OverflowError before anything was allocated.  A lambda_max
+    # such as 10**9 would try to allocate gigabytes, so none is tried here.
+    @pytest.mark.parametrize("lambda_max", [10**400, 2**63], ids=["10**400", "2**63"])
+    def test_up_to_past_a_tuple_is_refused_by_name(self, lambda_max):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lambda_max={lambda_max} orders are more than a tuple can hold")):
+            LambdaGrid.up_to(lambda_max)
+
+    def test_ledger_order_past_floats_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=f"^order {10**400} is beyond the float range$"):
+            PrivacyLedger(gamma=0.05, lambda_grid=LambdaGrid((1, 10**400)))
+
 
 class TestDataIndependentMoment:
     def test_zero_order(self):
@@ -59,6 +71,10 @@ class TestDataIndependentMoment:
         # 2 * 0.05^2 * 8 * 9 = 0.36 ; 2 * 1 * 1 * 2 = 4
         assert data_independent_moment(0.05, 8) == pytest.approx(0.36, abs=1e-15)
         assert data_independent_moment(1.0, 1) == pytest.approx(4.0, abs=1e-15)
+
+    def test_order_past_floats_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=f"^order {10**400} is beyond the float range$"):
+            data_independent_moment(0.05, 10**400)
 
 
 class TestQThreshold:

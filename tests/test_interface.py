@@ -19,7 +19,8 @@ from privagg import (
 )
 from privagg.cli import account_obj, aggregate_votes, main
 from privagg import formats
-from privagg.verification import soundness_sweep
+from privagg.oracle import enumerate_neighbors, exact_moment
+from privagg.verification import mc_crosscheck, soundness_sweep
 from privagg.formats import (
     FileFormatError,
     dump_json,
@@ -268,31 +269,35 @@ def edit_ledger_line(path: Path, line_index: int, edit) -> Path:
 class TestLedgerBooleans:
     """JSON true/false would pass as 1/0 through every numeric check."""
 
-    @pytest.mark.parametrize("line_index, edit, field", [
+    # An entry names the field; a header field takes the rule of the constructor
+    # that aggregate's arguments go through, with its message.
+    @pytest.mark.parametrize("line_index, edit, message", [
         pytest.param(1, lambda obj: obj["moments"][0].update({"lambda": True, "alpha": False}),
-                     "lambda", id="entry-lambda-and-alpha"),
-        pytest.param(1, lambda obj: obj["moments"][0].update({"alpha": False}), "alpha",
-                     id="entry-alpha-false"),
-        pytest.param(1, lambda obj: obj["moments"][1].update({"alpha": True}), "alpha",
-                     id="entry-alpha-true"),
-        pytest.param(1, lambda obj: obj.update({"q_bound": True}), "q_bound",
+                     "'lambda' holds a boolean", id="entry-lambda-and-alpha"),
+        pytest.param(1, lambda obj: obj["moments"][0].update({"alpha": False}),
+                     "'alpha' holds a boolean", id="entry-alpha-false"),
+        pytest.param(1, lambda obj: obj["moments"][1].update({"alpha": True}),
+                     "'alpha' holds a boolean", id="entry-alpha-true"),
+        pytest.param(1, lambda obj: obj.update({"q_bound": True}), "'q_bound' holds a boolean",
                      id="entry-q-bound-true"),
-        pytest.param(1, lambda obj: obj.update({"q_bound": False}), "q_bound",
+        pytest.param(1, lambda obj: obj.update({"q_bound": False}), "'q_bound' holds a boolean",
                      id="entry-q-bound-false"),
-        pytest.param(0, lambda obj: obj.update({"seed": False}), "seed", id="header-seed"),
+        pytest.param(0, lambda obj: obj.update({"seed": False}),
+                     "seed must be an integer in [0, 2**64), got False", id="header-seed"),
         pytest.param(0, lambda obj: obj.update({"lambda_grid": [True, 2, 3, 4, 5, 6, 7, 8]}),
-                     "lambda_grid", id="header-lambda-grid"),
-        pytest.param(0, lambda obj: obj.update({"format_version": True}), "format_version",
-                     id="header-format-version"),
+                     "lambda grid values must be integers, got True", id="header-lambda-grid"),
+        pytest.param(0, lambda obj: obj.update({"format_version": True}),
+                     "unsupported format_version True", id="header-format-version"),
     ])
-    def test_rejected_with_line_number(self, tmp_path, line_index, edit, field):
+    def test_rejected_with_line_number(self, tmp_path, line_index, edit, message):
         path = edit_ledger_line(tmp_path / "ledger.jsonl", line_index, edit)
-        with pytest.raises(FileFormatError,
-                           match=rf":{line_index + 1}: .*'{field}' holds a boolean"):
+        with pytest.raises(FileFormatError, match=rf":{line_index + 1}: .*{re.escape(message)}"):
             read_ledger(path)
 
-    @pytest.mark.parametrize("line_index", [0, 1])
-    def test_gamma_true_rejected_where_gamma_is_one(self, tmp_path, line_index):
+    @pytest.mark.parametrize("line_index, message", [
+        (0, "gamma must be a positive finite real, got True"), (1, "'gamma' holds a boolean")],
+        ids=["0", "1"])
+    def test_gamma_true_rejected_where_gamma_is_one(self, tmp_path, line_index, message):
         _, ledger = aggregate_head(2, gamma=1.0)
         path = tmp_path / "ledger.jsonl"
         write_ledger(path, ledger)
@@ -300,8 +305,7 @@ class TestLedgerBooleans:
         lines = path.read_text().splitlines()
         lines[line_index] = lines[line_index].replace('"gamma":1.0', '"gamma":true')
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError,
-                           match=rf":{line_index + 1}: .*'gamma' holds a boolean"):
+        with pytest.raises(FileFormatError, match=rf":{line_index + 1}: .*{re.escape(message)}"):
             read_ledger(path)
 
     def test_account_exits_one(self, tmp_path, capsys):
@@ -313,31 +317,40 @@ class TestLedgerBooleans:
 
 
 class TestLedgerHeaderTypes:
-    """float(), int() and tuple() would coerce a header of strings."""
+    """float(), int() and tuple() would coerce a header of strings.  Gamma, the
+    orders and the seed take the rules of PrivacyLedger and LambdaGrid."""
 
     @pytest.mark.parametrize("header, message", [
         pytest.param("[1]", "expected an object, got list", id="list"),
         pytest.param('"ledger"', "expected an object, got str", id="string"),
         pytest.param('{"format_version":1,"gamma":"0.05","lambda_grid":"12345678","seed":"0"}',
-                     "'gamma' holds a str, not a number", id="all-strings"),
+                     "lambda_grid must be a list, got '12345678'", id="all-strings"),
+        pytest.param('{"format_version":1,"gamma":"0.05","lambda_grid":[1,2,3,4,5,6,7,8],'
+                     '"seed":0}', "gamma must be a positive finite real, got '0.05'",
+                     id="gamma-string"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":"12345678","seed":0}',
-                     "'lambda_grid' holds a str, not a list", id="grid-string"),
+                     "lambda_grid must be a list, got '12345678'", id="grid-string"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,"8"],'
-                     '"seed":0}', "'lambda_grid' holds a str, not an integer",
+                     '"seed":0}', "lambda grid values must be integers, got '8'",
                      id="grid-order-string"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8.0],'
-                     '"seed":0}', "'lambda_grid' holds a float, not an integer",
+                     '"seed":0}', "lambda grid values must be integers, got 8.0",
                      id="grid-order-float"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
-                     '"seed":"0"}', "'seed' holds a str, not an integer", id="seed-string"),
+                     '"seed":"0"}', "seed must be an integer in [0, 2**64), got '0'",
+                     id="seed-string"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
-                     '"seed":0.0}', "'seed' holds a float, not an integer", id="seed-float"),
+                     '"seed":0.0}', "seed must be an integer in [0, 2**64), got 0.0",
+                     id="seed-float"),
         pytest.param('{"format_version":1.0,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
-                     '"seed":0}', "'format_version' holds a float, not an integer",
-                     id="version-float"),
+                     '"seed":0}', "unsupported format_version 1.0", id="version-float"),
         pytest.param('{"format_version":1,"gamma":0.05,"lambda_grid":[1,2,3,4,5,6,7,8],'
                      '"seed":-1}', "seed must be an integer in [0, 2**64), got -1",
                      id="seed-negative"),
+        # An OverflowError traceback before: the bound 2 gamma^2 l (l+1) has no float.
+        pytest.param(f'{{"format_version":1,"gamma":0.05,"lambda_grid":[1,{10**400}],'
+                     '"seed":0}', f"order {10**400} is beyond the float range",
+                     id="grid-order-past-floats"),
     ])
     def test_rejected_on_line_one(self, tmp_path, capsys, header, message):
         lines = (DATA / "expected_ledger.jsonl").read_text().splitlines()
@@ -617,43 +630,64 @@ class TestLedgerReadPaths:
         path = write(tmp_path / "ledger.jsonl", "\n".join(lines) + "\n")
         assert read_outcome(path) == self.json_only(path)
 
+    @staticmethod
+    def counted_read(path: Path) -> tuple[PrivacyLedger, list[str], list[tuple]]:
+        """``read_ledger(path)``, the texts ``json.loads`` read and the rows ``_slots`` took."""
+        loads, slots, texts, rows = json.loads, formats._slots, [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats.json, "loads",
+                       lambda text, **kw: texts.append(text) or loads(text, **kw))
+            mp.setattr(formats, "_slots", lambda alphas, bounds: rows.append(alphas)
+                       or slots(alphas, bounds))
+            return read_ledger(path), texts, rows
+
     @pytest.mark.parametrize("gamma, lambda_max", [(0.05, 8), (0.3, 12)])
-    def test_canonical_lines_parse_without_json(self, tmp_path, monkeypatch, gamma,
-                                                lambda_max):
+    def test_canonical_lines_parse_without_json(self, tmp_path, gamma, lambda_max):
         ledger = tmp_path / "ledger.jsonl"
         assert main(["aggregate", str(DATA / "votes_100.jsonl"), "--gamma", str(gamma),
                      "--lambda-max", str(lambda_max), "--labels-out",
                      str(tmp_path / "labels.jsonl"), "--ledger-out", str(ledger)]) == 0
-        loads, texts = json.loads, []
-        monkeypatch.setattr(formats.json, "loads",
-                            lambda text, **kw: texts.append(text) or loads(text, **kw))
-        compile_, matched = re.compile, []
-
-        class CountingPattern:  # counts the lines that reach the entry pattern
-            def __init__(self, pattern):
-                self.pattern = pattern
-
-            def fullmatch(self, line):
-                matched.append(line)
-                return self.pattern.fullmatch(line)
-
-        def compile_entry_pattern(text, *args):
-            # read_ledger compiles its entry pattern, which ends with the tail, per call.
-            pattern = compile_(text, *args)
-            return CountingPattern(pattern) if text.endswith(formats._TAIL.pattern) else pattern
-
-        monkeypatch.setattr(formats.re, "compile", compile_entry_pattern)
-        reached = []
+        formatted = []
         for path in (DATA / "expected_ledger.jsonl", ledger):
-            texts.clear(), matched.clear()
-            loaded = read_ledger(path)
+            loaded, texts, rows = self.counted_read(path)
             assert len(loaded) == 100
             assert texts == [path.read_text().splitlines()[0]]  # the header alone
-            # Data-independent entries take the bound row path alone.
+            # The bound row head, formatted once, and one head per entry whose
+            # row differs from the bounds: no head is memoized.
             bounds = loaded.row(1.0)  # no q_threshold reaches 1: the data-independent row
-            assert len(matched) == sum(loaded.row(q) != bounds for q in loaded.q_bounds)
-            reached.append(len(matched))
-        assert reached[0] == 61  # the fixture's 39 data-independent entries skip it
+            assert rows == [bounds, *(row for row in map(loaded.row, loaded.q_bounds)
+                                      if row != bounds)]
+            formatted.append(len(rows))
+        assert formatted[0] == 1 + 61  # the fixture's 39 data-independent entries format none
+
+    @settings(max_examples=100, deadline=None)
+    @given(ledger=ledgers())
+    def test_json_reads_the_header_and_the_lines_of_escaped_ids(self, tmp_path_factory,
+                                                                 ledger):
+        path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+        write_ledger(path, ledger)
+        loaded, texts, _ = self.counted_read(path)
+        assert loaded == ledger
+        escaped = [query_id for query_id in ledger.query_ids
+                   if formats.encode_basestring_ascii(query_id) != f'"{query_id}"']
+        assert len(texts) == 1 + len(escaped)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("none", "q threshold overflows at gamma=200.0"),
+        ("gamma-true", "'gamma' holds a boolean, not a number"),
+    ], ids=["none", "gamma-true"])
+    def test_paths_agree_where_no_row_is_derived(self, tmp_path, edit, message):
+        # Past gamma about 177 q_threshold overflows and every entry is refused,
+        # but a line that is not the program's own is refused for its own fault.
+        ledger = PrivacyLedger(gamma=200.0, lambda_grid=LambdaGrid((1, 2)))
+        bounds, head = formats._heads(ledger)
+        line = head(bounds) + '0.75,"query_id":"q1"}'
+        if edit == "gamma-true":
+            line = line.replace('"gamma":200.0', '"gamma":true')
+        path = write(tmp_path / "ledger.jsonl", f"{canonical_lines(ledger)[0]}\n{line}\n")
+        outcome = read_outcome(path)
+        assert outcome.startswith(f"{path}:2: malformed ledger entry: {message}")
+        assert outcome == self.json_only(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: swap_source(obj, 2), "malformed ledger entry: source 'DataDependent' at "
@@ -1019,6 +1053,20 @@ class TestCliOverflow:
             else "'q_bound' must be finite and non-negative, got inf\n")
 
 
+    @pytest.mark.parametrize("lambda_max", [10**400, 2**63], ids=["10**400", "2**63"])
+    @pytest.mark.parametrize("command", ["aggregate", "verify"])
+    def test_lambda_max_past_a_tuple_exits_one(self, tmp_path, capsys, command, lambda_max):
+        # tuple(range(...)) raised OverflowError, a traceback, before any order was stored.
+        args = {"aggregate": [str(DATA / "votes_100.jsonl"), "--gamma", "0.05",
+                              "--labels-out", str(tmp_path / "labels.jsonl"),
+                              "--ledger-out", str(tmp_path / "ledger.jsonl")],
+                "verify": ["--cases", "1", "--trials", "0"]}[command]
+        assert main([command, *args, "--lambda-max", str(lambda_max)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: lambda_max={lambda_max} orders are more than a tuple can hold\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestCliSimulate:
     def test_budget_json(self, tmp_path):
         out = tmp_path / "budget.json"
@@ -1343,6 +1391,13 @@ INTEGER_CALLS = {
         lambda k: soundness_sweep(1, max_classes=2, max_teachers=k).to_dict(),
         "max_teachers must lie in [2, 709], got {!r}"),
     "soundness_sweep-seed": (lambda k: soundness_sweep(1, seed=k).to_dict(), SEED_MESSAGE),
+    # exact_moment(pair, 0.5, True) gave the order-1 moment and 1.5 gave 0.2308;
+    # mc_crosscheck(0, 2.5) returned a report.
+    "exact_moment": (lambda k: exact_moment(enumerate_neighbors(VoteHistogram((3, 1)))[0],
+                                            0.5, k),
+                     "order must be an integer, got {!r}"),
+    "mc_crosscheck-trials": (lambda k: mc_crosscheck(0, k).to_dict(),
+                             "trials must be an integer, got {!r}"),
 }
 
 
@@ -1392,3 +1447,21 @@ def test_readme_library_example_runs(capsys):
     code = "\n" * readme.count("\n", 0, block.start(1)) + block.group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert "Moments" in capsys.readouterr().out
+
+
+def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Under filterwarnings = ["error"], a DeprecationWarning that hypothesis'
+    # failure report meets once ended the session in INTERNALERROR: no FAILED
+    # line, and no later test ran.
+    write(tmp_path / "test_probe.py", "from hypothesis import given, strategies as st\n\n"
+                                      "@given(st.integers())\n"
+                                      "def test_fails(x):\n"
+                                      "    assert x < 0\n\n"
+                                      "def test_passes():\n"
+                                      "    pass\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir",
+                          str(tmp_path), "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert re.search(r" 1 failed, 1 passed in ", run.stdout.splitlines()[-1]), run.stdout
