@@ -16,7 +16,6 @@ from .accountant import (
     GuaranteeMethod,
     LambdaGrid,
     PrivacyLedger,
-    book,
     compose,
     data_dependent_moment,
     data_independent_moment,
@@ -72,7 +71,6 @@ __all__ = [
     "UnsupportedSizeError",
     "VerificationReport",
     "VoteHistogram",
-    "book",
     "budget_report",
     "compose",
     "data_dependent_moment",

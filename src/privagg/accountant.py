@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .mechanism import (MechanismParams, VoteHistogram, _at_least, _gamma, _integer, _real, _seed,
+from .mechanism import (VoteHistogram, _at_least, _gamma, _integer, _real, _seed,
                         plurality)
 
 # 1 - e^{2*gamma} * q below this is treated as out of domain for the
@@ -135,6 +135,18 @@ class PrivacyLedger:
                 raise ValueError(f"q_bound must lie in [0, 1], got {q_bound!r}")
         self.query_ids.append(query_id)
         self.q_bounds.append(q_bound)
+
+    def book(self, hists, query_ids) -> None:
+        """Append one ``per_query_moment`` per (histogram, query_id) pair.
+
+        The one loop that books a batch of queries; its rows become the ledger's.
+        A run books its queries in one call or in consecutive chunks, alike.
+        """
+        gamma, grid, rows = self.gamma, self.lambda_grid, self._rows
+        for hist, query_id in zip(hists, query_ids, strict=True):
+            q_bound, alphas = per_query_moment(hist, gamma, grid)
+            self.append(query_id, q_bound)
+            rows[q_bound] = alphas
 
     def row(self, q_bound: float) -> tuple[float, ...]:
         """``per_query_moment``'s alphas at ``q_bound``, derived once per distinct q bound."""
@@ -349,19 +361,6 @@ def _alphas(q: float, gamma: float, orders: tuple[int, ...], moment=_moment) -> 
             dd = alpha
         alphas.append(dd if dd < alpha else alpha)  # min(alpha, dd)
     return tuple(alphas)
-
-
-def book(hists, query_ids, params: MechanismParams, grid: LambdaGrid) -> PrivacyLedger:
-    """New ledger with one ``per_query_moment`` per (histogram, query_id) pair.
-
-    The one loop that books a batch of queries; its rows become the ledger's.
-    """
-    ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=params.seed)
-    for hist, query_id in zip(hists, query_ids, strict=True):
-        q_bound, alphas = per_query_moment(hist, params.gamma, grid)
-        ledger.append(query_id, q_bound)
-        ledger._rows[q_bound] = alphas
-    return ledger
 
 
 def compose(ledger: PrivacyLedger) -> dict[int, float]:

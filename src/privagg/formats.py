@@ -7,7 +7,9 @@ Votes come one record per line, either pre-tallied or as raw labels:
     {"query_id": "q2", "labels": [0, 0, 1], "num_classes": 3}
 
 Label records are tallied on ingest; mixed forms are fine but every record
-must agree on the class count.  Ledgers start with a header object carrying
+must agree on the class count.  ``read_votes`` yields each record as it parses
+its line, so its reader holds no more records than it keeps.  Ledgers start
+with a header object carrying
 {format_version, gamma, lambda_grid, seed} so outputs are self-describing,
 and a label file repeats its ledger's header and query ids.  Parse errors
 always name the offending line, a query_id may appear only once per votes
@@ -28,10 +30,12 @@ the head its tail's q bound gives, then that tail, parsing the tail alone.
 Any other line goes through ``json``, and a stored alpha or source that
 differs from the row is rejected, naming the order.
 Every writer replaces its target atomically: a failed write leaves the old
-file intact.
+file intact.  The ledger and label writers replace only a file of the same
+bytes: one of other bytes records another run's spend or labels, and is kept.
 """
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import re
@@ -39,6 +43,7 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .accountant import Guarantee, LambdaGrid, PrivacyLedger, _independent_row
 from .mechanism import VoteHistogram, _integer, tally_votes
@@ -91,9 +96,12 @@ def _content_lines(fh):
             yield line_no, line
 
 
-def read_votes(path) -> tuple[list[str], list[VoteHistogram]]:
-    """Parse a votes JSONL file into aligned query id and histogram lists."""
-    hists: list[VoteHistogram] = []
+def read_votes(path) -> Iterator[tuple[str, VoteHistogram]]:
+    """Yield the ``(query_id, histogram)`` record of each line of a votes JSONL file.
+
+    The file opens at the first pull, and closing the generator closes it.  A line
+    is parsed when its record is pulled, so its error comes after the records before it.
+    """
     seen: dict[str, int] = {}  # query id -> first line, in file order
     num_classes = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -111,8 +119,7 @@ def read_votes(path) -> tuple[list[str], list[VoteHistogram]]:
             elif hist.num_classes != num_classes:
                 raise _fail(path, line_no, f"record has {hist.num_classes} classes, "
                                            f"earlier records have {num_classes}")
-            hists.append(hist)
-    return list(seen), hists
+            yield query_id, hist
 
 
 def provenance(gamma: float, lambda_grid: LambdaGrid, seed: int) -> dict:
@@ -129,12 +136,15 @@ def _dump(obj) -> str:
 
 
 @contextmanager
-def _replacing(path):
-    """Write to a temp file beside ``path``; move it over ``path`` only on success."""
+def _replacing(path, only_same: bool = False):
+    """Write to a temp file beside ``path``; move it over ``path`` only on success.
+    With ``only_same``, an existing ``path`` of other bytes is kept: ValueError names it."""
     tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
+        if only_same and os.path.exists(path) and not filecmp.cmp(tmp, path, shallow=False):
+            raise ValueError(f"{path} holds another run's output; refusing to replace it")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful replace
@@ -149,7 +159,7 @@ def _encode_label(query_id: str, label: int) -> str:
 
 def write_labels(path, ledger: PrivacyLedger, labels: list[int]) -> None:
     """The ledger's header, then one label per entry; a count mismatch raises ValueError."""
-    with _replacing(path) as fh:
+    with _replacing(path, only_same=True) as fh:
         fh.write(_dump(provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)) + "\n")
         for query_id, label in zip(ledger.query_ids, labels, strict=True):
             fh.write(_encode_label(query_id, label) + "\n")
@@ -190,7 +200,7 @@ def _entry_lines(ledger: PrivacyLedger):
 
 
 def write_ledger(path, ledger: PrivacyLedger) -> None:
-    with _replacing(path) as fh:
+    with _replacing(path, only_same=True) as fh:
         fh.write(_dump(provenance(ledger.gamma, ledger.lambda_grid, ledger.seed)) + "\n")
         fh.writelines(_entry_lines(ledger))
 

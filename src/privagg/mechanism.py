@@ -13,7 +13,9 @@ one each, so gamma = 0.05 costs epsilon = 0.1 per query).
 
 All noise is produced by inverse-CDF transform of a seeded uniform stream,
 one draw per class consumed in class-index order, so runs are reproducible
-bit for bit given a seed.
+bit for bit given a seed.  Each query draws from a stream of its own, so a
+batch labelled in chunks, each ``noisy_labels`` call told its chunk's first
+index, gets the labels of the whole batch labelled at once.
 """
 from __future__ import annotations
 
@@ -242,15 +244,16 @@ def noisy_argmax(hist: VoteHistogram, params: MechanismParams,
     return int(noise.argmax())
 
 
-def noisy_labels(hists, params: MechanismParams, *stream: int) -> list[int]:
-    """Noisy argmax of each histogram; query i uses path (MECHANISM_NOISE, *stream, i).
+def noisy_labels(hists, params: MechanismParams, *stream: int, start: int = 0) -> list[int]:
+    """Noisy argmax of each histogram; ``hists[i]`` uses path (MECHANISM_NOISE, *stream, start + i).
 
     The one loop that draws mechanism noise for a batch.  ``seeding`` lists
-    the ``stream`` prefix each caller passes.
+    the ``stream`` prefix each caller passes; a chunk of a longer batch, as
+    ``aggregate`` labels, passes the index of its first query as ``start``.
     """
     return [noisy_argmax(hist, params,
                          rng=derive_rng(params.seed, MECHANISM_NOISE, *stream, i))
-            for i, hist in enumerate(hists)]
+            for i, hist in enumerate(hists, start)]
 
 
 def plurality(hist: VoteHistogram) -> int:

@@ -44,7 +44,8 @@ Domain codes (first path element):
     4  verification-sweep case generation
 
 Mechanism noise paths; batches are drawn only by ``mechanism.noisy_labels``:
-    (0, i)       query i of ``cli.aggregate_votes`` (``aggregate``)
+    (0, i)       query i of ``cli.aggregate_votes`` (``aggregate``), whichever
+                 chunk of records holds it (``noisy_labels``' ``start``)
     (0, 0, i)    query i of ``simulation.budget_report`` (``simulate --mode budget``)
     (0, gi, i)   query i at the gi-th gamma of ``simulation.sweep_gamma``
     (0, 0)       the trials of ``oracle.mc_outcome_frequencies``; the stream

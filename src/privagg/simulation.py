@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .accountant import LambdaGrid, PrivacyLedger, book
+from .accountant import LambdaGrid, PrivacyLedger
 from .mechanism import MechanismParams, VoteHistogram, _gamma, _integer, _seed, gap, noisy_labels
 from .seeding import derive_rng, SYNTH_VOTES, TRUE_LABELS
 
@@ -178,5 +178,6 @@ def budget_report(config: EnsembleConfig, gamma: float,
     params = MechanismParams(gamma=gamma, seed=config.seed)
     labels, hists = _query_stream(config)
     hits = sum(x == y for x, y in zip(noisy_labels(hists, params, 0), labels))
-    ledger = book(hists, [f"q{q:05d}" for q in range(config.queries)], params, grid)
+    ledger = PrivacyLedger(gamma=params.gamma, lambda_grid=grid, seed=params.seed)
+    ledger.book(hists, [f"q{q:05d}" for q in range(config.queries)])
     return ledger, hits / config.queries if config.queries else math.nan

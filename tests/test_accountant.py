@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from privagg import (
     GuaranteeMethod,
-    MechanismParams,
     LambdaGrid,
     PrivacyLedger,
     VoteHistogram,
-    book,
     compose,
     data_dependent_moment,
     data_independent_moment,
@@ -30,6 +28,12 @@ from privagg.formats import FileFormatError, read_ledger, write_ledger
 from conftest import histograms
 
 GRID = LambdaGrid.default()
+
+
+def booked(hists, query_ids, gamma=0.05, grid=GRID, seed=0) -> PrivacyLedger:
+    ledger = PrivacyLedger(gamma=gamma, lambda_grid=grid, seed=seed)
+    ledger.book(hists, query_ids)
+    return ledger
 
 
 class TestLambdaGrid:
@@ -698,7 +702,7 @@ class TestCompose:
     def test_rows_follow_the_ledger_grid(self):
         hist = VoteHistogram((40, 3))
         for grid in (GRID, LambdaGrid.up_to(4), LambdaGrid((3, 32))):
-            ledger = book([hist], ["q"], MechanismParams(gamma=0.05), grid)
+            ledger = booked([hist], ["q"], grid=grid)
             assert ledger.row(ledger.q_bounds[0]) == per_query_moment(hist, 0.05, grid)[1]
             assert list(compose(ledger)) == list(grid.values)
 
@@ -717,23 +721,29 @@ class TestCompose:
 class TestBook:
     def test_books_each_histogram_under_its_id(self):
         hists = [VoteHistogram((10, 10)), VoteHistogram((40, 3)), VoteHistogram((0, 7, 1))]
-        ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05, seed=3), GRID)
+        ledger = booked(hists, ["a", "b", "c"], seed=3)
         assert (ledger.gamma, ledger.lambda_grid, ledger.seed) == (0.05, GRID, 3)
         assert ledger.query_ids == ["a", "b", "c"]
         assert [(q, ledger.row(q)) for q in ledger.q_bounds] == [
             per_query_moment(h, 0.05, GRID) for h in hists]
 
+    def test_chunks_book_what_one_call_books(self):
+        hists = [VoteHistogram((10, 10)), VoteHistogram((40, 3)), VoteHistogram((0, 7, 1))]
+        chunked = booked(hists[:1], ["a"])
+        chunked.book(hists[1:], ["b", "c"])
+        assert chunked == booked(hists, ["a", "b", "c"])
+
     def test_rows_of_book_are_not_derived_again(self):
         hists = [VoteHistogram((40, 3)), VoteHistogram((10, 10)), VoteHistogram((40, 3))]
         with mock.patch.object(accountant, "_alphas", wraps=accountant._alphas) as derive:
-            ledger = book(hists, ["a", "b", "c"], MechanismParams(gamma=0.05), GRID)
+            ledger = booked(hists, ["a", "b", "c"])
             compose(ledger)
         # per_query_moment's own three calls: the ledger derived none.
         assert derive.call_count == 3 and len(ledger._rows) == 2
 
     def test_ids_must_pair_with_histograms(self):
         with pytest.raises(ValueError):
-            book([VoteHistogram((1, 2))], [], MechanismParams(gamma=0.05), GRID)
+            booked([VoteHistogram((1, 2))], [])
 
 
 class TestEpsForDelta:

@@ -67,7 +67,7 @@ def test_ledger_round_makes_the_pinned_calls(tmp_path):
     # aggregate then account, with one data_dependent_moment per grid order of
     # each query whose q bound is below q_threshold and none for the others.
     gamma = 0.05
-    _, hists = read_votes(DATA / "votes_100.jsonl")
+    hists = [hist for _, hist in read_votes(DATA / "votes_100.jsonl")]
     usable = sum(q_upper_bound(hist, gamma) < q_threshold(gamma) for hist in hists)
     assert 0 < usable < len(hists) == 100
     ledger = tmp_path / "ledger.jsonl"

@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from privagg import (
     EnsembleConfig, Guarantee, GuaranteeMethod, LambdaGrid, MechanismParams, PrivacyLedger,
-    VoteHistogram, book, data_dependent_moment, data_independent_moment, eps_for_delta,
+    VoteHistogram, data_dependent_moment, data_independent_moment, eps_for_delta,
     mc_outcome_frequencies, q_threshold, run_verification, strong_composition_eps,
     synth_query_votes, tally_votes,
 )
-from privagg.cli import account_obj, aggregate_votes, main
-from privagg import formats
+from privagg.cli import CHUNK, account_obj, aggregate_votes, main
+from privagg import cli, formats, mechanism, noisy_labels
 from privagg.oracle import enumerate_neighbors, exact_moment
 from privagg.verification import mc_crosscheck, soundness_sweep
 from privagg.formats import (
@@ -41,9 +41,8 @@ def write(path: Path, text: str) -> Path:
 
 def aggregate_head(k=None, gamma=0.05, seed=0):
     """``aggregate_votes`` on the first ``k`` records of votes_100.jsonl."""
-    query_ids, hists = read_votes(DATA / "votes_100.jsonl")
-    return aggregate_votes(query_ids[:k], hists[:k], MechanismParams(gamma=gamma, seed=seed),
-                           GRID)
+    records = list(read_votes(DATA / "votes_100.jsonl"))
+    return aggregate_votes(records[:k], MechanismParams(gamma=gamma, seed=seed), GRID)
 
 
 class TestReadVotes:
@@ -53,24 +52,22 @@ class TestReadVotes:
             '{"query_id": "b", "labels": [0, 1, 1], "num_classes": 2}',
             "",
         ]))
-        query_ids, hists = read_votes(path)
-        assert [(q, h.counts) for q, h in zip(query_ids, hists, strict=True)] == [
-            ("a", (3, 1)), ("b", (1, 2))]
+        assert [(q, h.counts) for q, h in read_votes(path)] == [("a", (3, 1)), ("b", (1, 2))]
 
     def test_empty_file(self, tmp_path):
-        assert read_votes(write(tmp_path / "votes.jsonl", "")) == ([], [])
+        assert list(read_votes(write(tmp_path / "votes.jsonl", ""))) == []
 
     def test_invalid_json_names_line(self, tmp_path):
         path = write(tmp_path / "votes.jsonl",
                      '{"query_id": "a", "counts": [3, 1]}\n{oops\n')
         with pytest.raises(FileFormatError, match=r"votes\.jsonl:2"):
-            read_votes(path)
+            list(read_votes(path))
 
     def test_label_out_of_range_names_line(self, tmp_path):
         path = write(tmp_path / "votes.jsonl",
                      '{"query_id": "a", "labels": [0, 5], "num_classes": 3}\n')
         with pytest.raises(FileFormatError, match=r":1.*out of range"):
-            read_votes(path)
+            list(read_votes(path))
 
     def test_mixed_class_count_rejected(self, tmp_path):
         path = write(tmp_path / "votes.jsonl", "\n".join([
@@ -78,7 +75,7 @@ class TestReadVotes:
             '{"query_id": "b", "counts": [3, 1, 0]}',
         ]))
         with pytest.raises(FileFormatError, match=":2.*classes"):
-            read_votes(path)
+            list(read_votes(path))
 
     @pytest.mark.parametrize("line", [
         '{"counts": [3, 1]}',
@@ -91,7 +88,7 @@ class TestReadVotes:
     ])
     def test_malformed_records(self, tmp_path, line):
         with pytest.raises(FileFormatError, match=":1"):
-            read_votes(write(tmp_path / "votes.jsonl", line + "\n"))
+            list(read_votes(write(tmp_path / "votes.jsonl", line + "\n")))
 
     def test_duplicate_query_id_names_second_line(self, tmp_path):
         path = write(tmp_path / "votes.jsonl", "\n".join([
@@ -100,7 +97,7 @@ class TestReadVotes:
             '{"query_id": "a", "counts": [1, 3]}',
         ]))
         with pytest.raises(FileFormatError, match=r":3: duplicate query_id 'a'.*line 1"):
-            read_votes(path)
+            list(read_votes(path))
 
     def test_class_count_beyond_a_list_names_line(self, tmp_path, capsys):
         path = write(tmp_path / "votes.jsonl", "\n".join([
@@ -108,7 +105,7 @@ class TestReadVotes:
             f'{{"query_id": "b", "labels": [0], "num_classes": {2**70}}}',
         ]))
         with pytest.raises(FileFormatError, match=":2: .*more than a list can hold"):
-            read_votes(path)
+            list(read_votes(path))
         assert main(["aggregate", str(path), "--gamma", "0.05",
                      "--labels-out", str(tmp_path / "l.jsonl"),
                      "--ledger-out", str(tmp_path / "g.jsonl")]) == 1
@@ -459,8 +456,9 @@ class TestEncoders:
         # Booking at another gamma replaces the accountant's cached row; the
         # first ledger's rows are still equal to the bounds its writer finds.
         hists = [VoteHistogram((10, 10))] * 20
-        first = book(hists, [f"q{i}" for i in range(20)], MechanismParams(gamma=0.05), GRID)
-        book(hists[:1], ["r"], MechanismParams(gamma=0.3), GRID)
+        first = PrivacyLedger(gamma=0.05, lambda_grid=GRID)
+        first.book(hists, [f"q{i}" for i in range(20)])
+        PrivacyLedger(gamma=0.3, lambda_grid=GRID).book(hists[:1], ["r"])
         heads, slots = [], formats._slots
         monkeypatch.setattr(formats, "_slots", lambda *args: heads.append(args) or slots(*args))
         write_ledger(tmp_path / "ledger.jsonl", first)
@@ -812,8 +810,7 @@ class TestAggregate:
         lines = [json.dumps({"query_id": f"u{j}", "counts": [0] * j + [250] + [0] * (9 - j)})
                  for j in range(3)]
         path = write(tmp_path / "votes.jsonl", "\n".join(lines) + "\n")
-        query_ids, hists = read_votes(path)
-        labels, ledger = aggregate_votes(query_ids, hists, MechanismParams(gamma=0.05), GRID)
+        labels, ledger = aggregate_votes(read_votes(path), MechanismParams(gamma=0.05), GRID)
         assert labels == [0, 1, 2]
         assert len(ledger) == 3
         for q_bound in ledger.q_bounds:
@@ -828,6 +825,138 @@ class TestAggregate:
         assert a_ledger == b_ledger
         c_labels, _ = aggregate_head(seed=8)
         assert c_labels != a_labels
+
+
+def vote_lines(k: int) -> list[str]:
+    """``k`` vote records at m = 3: wide and narrow margins, so both kinds of entry."""
+    return [json.dumps({"query_id": f"s{i}", "counts": [100 + i % 97, 3 * (i % 41), i % 7]})
+            for i in range(k)]
+
+
+def aggregate_cli(votes: Path, out: Path, gamma=0.05, seed=0) -> int:
+    return main(["aggregate", str(votes), "--gamma", str(gamma), "--seed", str(seed),
+                 "--labels-out", str(out / "labels.jsonl"),
+                 "--ledger-out", str(out / "ledger.jsonl")])
+
+
+class TestAggregateStream:
+    """``aggregate`` labels and books its records one chunk of ``cli.CHUNK`` at a time."""
+
+    @pytest.mark.parametrize("k", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunks_write_the_bytes_of_one_batch(self, tmp_path, capsys, k):
+        votes = write(tmp_path / "votes.jsonl", "".join(f"{line}\n" for line in vote_lines(k)))
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        out.mkdir()
+        whole.mkdir()
+        assert aggregate_cli(votes, out, seed=5) == 0
+        assert main(["account", str(out / "ledger.jsonl"), "--delta", "1e-5",
+                     "--output", str(out / "g.json")]) == 0
+        records = list(read_votes(votes))
+        hists = [hist for _, hist in records]
+        params = MechanismParams(gamma=0.05, seed=5)
+        ledger = PrivacyLedger(gamma=0.05, lambda_grid=GRID, seed=5)
+        ledger.book(hists, [query_id for query_id, _ in records])
+        write_ledger(whole / "ledger.jsonl", ledger)
+        write_labels(whole / "labels.jsonl", ledger, noisy_labels(hists, params))
+        write(whole / "g.json", dump_json(account_obj(ledger, 1e-5)))
+        for name in ("labels.jsonl", "ledger.jsonl", "g.json"):
+            assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+        if k > 1:  # both kinds of entry
+            assert 0 < sum(q < q_threshold(0.05) for q in ledger.q_bounds) < k
+        capsys.readouterr()
+
+    def test_records_are_pulled_at_most_a_chunk_ahead_of_the_noise(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        votes = write(tmp_path / "votes.jsonl",
+                      "".join(f"{line}\n" for line in vote_lines(3 * CHUNK + 7)))
+        draws, derive = [], mechanism.derive_rng
+
+        def counted(*args):
+            draws.append(args)
+            return derive(*args)
+
+        def checked(path):
+            for pulled, record in enumerate(read_votes(path), 1):
+                assert pulled - len(draws) <= CHUNK, (pulled, len(draws))
+                yield record
+
+        monkeypatch.setattr(mechanism, "derive_rng", counted)
+        monkeypatch.setattr(cli, "read_votes", checked)
+        assert aggregate_cli(votes, tmp_path) == 0
+        assert len(draws) == 3 * CHUNK + 7
+        assert (tmp_path / "labels.jsonl").read_text().count("\n") == 1 + 3 * CHUNK + 7
+        capsys.readouterr()
+
+    def test_bad_line_in_the_second_chunk_leaves_no_output(self, tmp_path, capsys):
+        lines = vote_lines(2 * CHUNK)
+        lines[CHUNK + 2] = "{oops"
+        votes = write(tmp_path / "votes.jsonl", "".join(f"{line}\n" for line in lines))
+        assert aggregate_cli(votes, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {votes}:{CHUNK + 3}: invalid JSON: Expecting property name enclosed "
+            "in double quotes\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["votes.jsonl"]
+
+    def test_error_in_the_first_chunk_comes_before_a_bad_line_in_the_third(
+            self, tmp_path, capsys, monkeypatch):
+        # The whole file used to be parsed first, so the bad line won.  At gamma
+        # 100 the deficit 8 of the first record makes e^(gamma*deficit) overflow.
+        lines = vote_lines(3 * CHUNK)
+        lines[0] = '{"query_id": "x", "counts": [10, 2, 0]}'
+        lines[2 * CHUNK + 1] = '{"query_id": "y"}'
+        votes = write(tmp_path / "votes.jsonl", "".join(f"{line}\n" for line in lines))
+        # Hold the records and the file they read, so that only aggregate can close them.
+        records, opened, real_open = [], [], open
+        monkeypatch.setattr(cli, "read_votes", lambda path: records.append(read_votes(path))
+                            or records[-1])
+        monkeypatch.setattr(formats, "open", lambda *a, **k: opened.append(real_open(*a, **k))
+                            or opened[-1], raising=False)
+        assert main(["aggregate", str(votes), "--gamma", "100",
+                     "--labels-out", str(tmp_path / "l.jsonl"),
+                     "--ledger-out", str(tmp_path / "g.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            "error: q bound overflows at gamma=100.0 and deficit 8: e^(gamma*deficit) is "
+            "beyond the float range\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["votes.jsonl"]
+        assert len(opened) == 1 and opened[0].closed  # the votes file, left mid-way
+
+
+class TestAggregateOverwrite:
+    """``aggregate`` never replaces a ledger or labels file that holds another run."""
+
+    def test_second_seed_is_refused_and_both_files_kept(self, tmp_path, capsys):
+        votes = DATA / "votes_100.jsonl"
+        assert aggregate_cli(votes, tmp_path, gamma=0.3, seed=0) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert aggregate_cli(votes, tmp_path, gamma=0.3, seed=1) == 1
+        ledger = tmp_path / "ledger.jsonl"
+        assert capsys.readouterr().err == (
+            f"error: {ledger} holds another run's output; refusing to replace it\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_identical_rerun_exits_zero(self, tmp_path, capsys):
+        votes = DATA / "votes_100.jsonl"
+        assert aggregate_cli(votes, tmp_path, gamma=0.3) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert aggregate_cli(votes, tmp_path, gamma=0.3) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        capsys.readouterr()
+
+    def test_other_labels_beside_the_same_ledger_are_refused(self, tmp_path, capsys):
+        votes = DATA / "votes_100.jsonl"
+        assert aggregate_cli(votes, tmp_path) == 0
+        labels = tmp_path / "labels.jsonl"
+        text = labels.read_text().replace('"label":0,', '"label":1,', 1)
+        write(labels, text)
+        capsys.readouterr()
+        assert aggregate_cli(votes, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels} holds another run's output; refusing to replace it\n")
+        assert labels.read_text() == text
+        assert (tmp_path / "ledger.jsonl").read_bytes() == (
+            DATA / "expected_ledger.jsonl").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.jsonl", "ledger.jsonl"]
 
 
 class TestCliAggregateAccount:
@@ -878,7 +1007,7 @@ class TestCliAggregateAccount:
         assert label_lines[0] == ledger_lines[0]
         ids = [json.loads(line)["query_id"] for line in ledger_lines[1:]]
         assert [json.loads(line)["query_id"] for line in label_lines[1:]] == ids
-        assert ids == read_votes(DATA / "votes_100.jsonl")[0]
+        assert ids == [query_id for query_id, _ in read_votes(DATA / "votes_100.jsonl")]
 
     @pytest.mark.parametrize("spelling", ["same-path", "relative-and-absolute",
                                           "hard-link"])
