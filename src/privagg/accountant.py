@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -345,21 +346,46 @@ def per_query_moment(hist: VoteHistogram, gamma: float,
     return qb, _alphas(qb, gamma, grid.values, data_dependent_moment)
 
 
-def _alphas(q: float, gamma: float, orders: tuple[int, ...], moment=_moment) -> tuple[float, ...]:
+def _alphas(q: float, gamma: float, orders: tuple[int, ...], moment=None) -> tuple[float, ...]:
     """The alphas booked at the q bound ``q``: per order, the smaller of the data-independent
-    bound and, where q < q_threshold(gamma), ``moment``.  That is ``data_dependent_moment``
-    in ``per_query_moment`` only, so a ledger's derived row calls no traced public function.
+    bound and, where q < q_threshold(gamma), the data-dependent bound.
+
+    ``per_query_moment`` passes ``data_dependent_moment`` as ``moment``, one traced call
+    per order.  A ledger's row passes none and runs ``_moment``'s formula over the whole
+    grid in one loop, with the order-free terms and the guard taken once: a second copy
+    of the formula, which ``TestDerivedRows`` holds equal to the first bit for bit.
     """
     row = _independent_row(gamma, orders)
     if not q < _threshold(gamma):  # no data_dependent_moment call, as a traced run pins
         return row
     alphas = []
-    for order, alpha in zip(orders, row):
-        try:
-            dd = moment(q, gamma, order)
-        except ValueError:  # the denominator guard
-            dd = alpha
-        alphas.append(dd if dd < alpha else alpha)  # min(alpha, dd)
+    if moment is not None:
+        for order, alpha in zip(orders, row):
+            try:
+                dd = moment(q, gamma, order)
+            except ValueError:  # the denominator guard
+                dd = alpha
+            alphas.append(dd if dd < alpha else alpha)  # min(alpha, dd)
+        return tuple(alphas)
+    try:
+        terms = _order_free_terms(q, gamma)
+    except ValueError:  # the denominator guard: every order keeps its bound
+        return row
+    if terms is None:  # q = 0: every moment is 0, and no bound is below 0
+        return (0.0,) * len(row)
+    log_q, log1p_neg_q, log_denom = terms
+    two_gamma, exp, log1p, inf = 2.0 * gamma, math.exp, math.log1p, math.inf
+    for order, alpha in zip(orders, row):  # _moment's steps, in its order
+        a = b = log_first = (order + 1) * log1p_neg_q - order * log_denom
+        log_second = log_q + two_gamma * order
+        if log_second < log_first:
+            a = log_second
+        elif log_second > log_first:
+            b = log_second
+        if a != -inf:
+            b = b + log1p(exp(a - b))
+        dd = b if b > 0.0 else 0.0
+        alphas.append(dd if dd < alpha else alpha)
     return tuple(alphas)
 
 
@@ -367,16 +393,16 @@ def compose(ledger: PrivacyLedger) -> dict[int, float]:
     """Sum the per-query moments order-wise: alpha_total(l) = sum_i alpha_i(l).
 
     Plain addition is exact composition for adaptive mechanisms; no other
-    aggregation is applied.  Each order adds left to right in ledger order,
-    whatever the Python version's ``sum`` would do.  An empty ledger
-    composes to all zeros.
+    aggregation is applied.  Each order adds left to right in ledger order
+    from 0.0, whatever the Python version's ``sum`` would do: each entry's row
+    folds into the per-order totals in one ``map(operator.add, ...)`` pass.
+    An empty ledger composes to all zeros.
     """
-    orders, row = ledger.lambda_grid.values, ledger.row
-    totals = dict.fromkeys(orders, 0.0)
-    for q_bound in ledger.q_bounds:
-        for order, alpha in zip(orders, row(q_bound)):
-            totals[order] += alpha
-    return totals
+    orders = ledger.lambda_grid.values
+    totals = [0.0] * len(orders)
+    for alphas in map(ledger.row, ledger.q_bounds):
+        totals = list(map(operator.add, totals, alphas))
+    return dict(zip(orders, totals))
 
 
 def eps_for_delta(totals: Mapping[int, float], delta: float) -> Guarantee:

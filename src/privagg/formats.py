@@ -24,11 +24,14 @@ its alpha lies below the data-independent bound 2 gamma^2 l (l+1), and
 "DataIndependent" otherwise.  Both are derived from the entry's q bound
 (``PrivacyLedger.row``).  An entry line is a head, the text up to
 ``"q_bound":`` (gamma, then each order with its alpha and source), and a
-tail, ``<q bound>,"query_id":<id>}``.  The head is a function of the row
-(``_heads``), so writers print it, and the reader accepts a line that is
-the head its tail's q bound gives, then that tail, parsing the tail alone.
-Any other line goes through ``json``, and a stored alpha or source that
-differs from the row is rejected, naming the order.
+tail, ``<q bound>,"query_id":<id>}``.  The head is a function of the row,
+filled into one template per ledger (``_template``), so writers print it.
+The reader formats only the bound row head: it parses the tail alone of a
+line that starts with that head, and parses every alpha, source and tail of
+a line that ``_entry_pattern``, the template as a pattern, matches; either
+line passes when its values are the row its q bound gives.  Any other line
+goes through ``json``, and a stored alpha or source that differs from the
+row is rejected, naming the order.
 Every writer replaces its target atomically: a failed write leaves the old
 file intact.  The ledger and label writers replace only a file of the same
 bytes: one of other bytes records another run's spend or labels, and is kept.
@@ -41,7 +44,7 @@ import os
 import re
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterator
 
@@ -165,6 +168,9 @@ def write_labels(path, ledger: PrivacyLedger, labels: list[int]) -> None:
             fh.write(_encode_label(query_id, label) + "\n")
 
 
+_SOURCES = ("DataIndependent", "DataDependent")  # an alpha's source, indexed by alpha < bound
+
+
 def _slots(alphas, bounds) -> list:
     """Each order's alpha and ``source``: "DataDependent" where the alpha is below its bound."""
     slots = []
@@ -174,13 +180,18 @@ def _slots(alphas, bounds) -> list:
     return slots
 
 
-def _heads(ledger: PrivacyLedger):
-    """The data-independent row, and ``head(alphas)``: an entry line's text up to ``"q_bound":``,
-    the bound row head (formatted once) or else the ``%`` head template filled."""
-    bounds = _independent_row(ledger.gamma, ledger.lambda_grid.values)
+def _template(ledger: PrivacyLedger) -> str:
+    """The ``%`` head template: an entry line's text up to ``"q_bound":``, with a ``%r``
+    for each order's alpha and a ``%s`` for its source."""
     moments = ",".join([f'{{"alpha":%r,"lambda":{order!r},"source":"%s"}}'
                         for order in ledger.lambda_grid.values])
-    template = f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
+    return f'{{"gamma":{ledger.gamma!r},"moments":[{moments}],"q_bound":'
+
+
+def _heads(ledger: PrivacyLedger):
+    """The data-independent row, and ``head(alphas)``: an entry line's text up to ``"q_bound":``,
+    the bound row head (formatted once) or else the head template filled."""
+    bounds, template = _independent_row(ledger.gamma, ledger.lambda_grid.values), _template(ledger)
     bound_head = template % tuple(_slots(bounds, bounds))
 
     def head(alphas) -> str:
@@ -205,12 +216,19 @@ def write_ledger(path, ledger: PrivacyLedger) -> None:
         fh.writelines(_entry_lines(ledger))
 
 
-# An entry's tail: its q bound in float form (a fraction or an exponent, ASCII
-# digits), whose float() is json.loads', then its id as a JSON string without
-# escapes or control characters, so that the captured text is the id itself.
-_TAIL = re.compile(r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-                   r',"query_id":"([^"\\\x00-\x1f]*)"\}')
-_Q_KEY = '"q_bound":'
+# A JSON number in float form (a fraction or an exponent, ASCII digits): its
+# float() is json.loads' value for it.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+# An entry's tail: its q bound in float form, then its id as a JSON string
+# without escapes or control characters, so that the captured text is the id itself.
+_TAIL = re.compile(f"({_FLOAT})" r',"query_id":"([^"\\\x00-\x1f]*)"\}')
+
+
+def _entry_pattern(ledger: PrivacyLedger) -> re.Pattern:
+    """A whole entry line: the head template with a float-form group for each alpha and
+    a word group for each source, then ``_TAIL``'s pattern."""
+    head = re.escape(_template(ledger)).replace("%r", f"({_FLOAT})")
+    return re.compile(head.replace("%s", f"({'|'.join(_SOURCES)})") + _TAIL.pattern)
 
 
 def _json_entry(obj, ledger: PrivacyLedger) -> tuple:
@@ -252,8 +270,10 @@ def _parse_ledger_header(path, line_no: int, line: str) -> PrivacyLedger:
 def read_ledger(path) -> PrivacyLedger:
     """Parse a ledger JSONL file (header line, then one entry per query).
 
-    A line that is the head ``_heads`` gives for its tail's q bound, then that
-    tail, has only the tail parsed; any other goes through ``json`` and the row check.
+    A line that starts with the bound row head and ends in a tail whose q bound
+    gives the bound row has only its tail parsed.  A line that ``_entry_pattern``
+    matches passes when the float of each alpha is its q bound's row and each source
+    is the one that row gives.  Any other goes through ``json`` and the row check.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _content_lines(fh)
@@ -262,18 +282,33 @@ def read_ledger(path) -> PrivacyLedger:
             raise FileFormatError(f"{path}: empty ledger (missing header line)")
         ledger = _parse_ledger_header(path, line_no, line)
         (bounds, head), orders = _heads(ledger), ledger.lambda_grid.values
-        match_tail, append, row, q_bounds = (_TAIL.fullmatch, ledger.append, ledger.row,
-                                             ledger.q_bounds)
+        bound_head, slot_count = head(bounds), 2 * len(orders)
+        match_tail, match_entry = _TAIL.fullmatch, _entry_pattern(ledger).fullmatch
+        append, row, q_bounds = ledger.append, ledger.row, ledger.q_bounds
+        sources: dict[bytes, tuple] = {}  # the source words of each mask met in this file
         seen: dict[str, int] = {}
         for line_no, line in lines:
             try:
                 try:
-                    tail = match_tail(line, start := line.rfind(_Q_KEY) + len(_Q_KEY))
-                    canonical = tail and line[:start] == head(row(q_bound := float(tail[1])))
+                    if line.startswith(bound_head):  # the bound row: one string compare
+                        match = match_tail(line, len(bound_head))
+                        checked = match and row(q_bound := float(match[1])) == bounds
+                    elif match := match_entry(line):
+                        texts = match.groups()
+                        alphas = row(q_bound := float(texts[-2]))
+                        mask = bytes(map(lt, alphas, bounds))  # 1 where DataDependent
+                        if (words := sources.get(mask)) is None:
+                            words = sources[mask] = tuple(map(_SOURCES.__getitem__, mask))
+                        # Lists: tuple(map(...)) here (over-allocated, then shrunk in place)
+                        # raised the peak RSS of a 10^4-entry read by 0.8 MB.
+                        checked = ([*map(float, texts[0:slot_count:2])] == [*alphas]
+                                   and texts[1:slot_count:2] == words)
+                    else:
+                        checked = False
                 except ValueError:  # no row where q_threshold overflows; json names other faults
-                    canonical = False
-                if canonical:
-                    append(query_id := tail[2], q_bound)
+                    checked = False
+                if checked:
+                    append(query_id := match[match.lastindex], q_bound)  # the last group
                 else:
                     query_id, q_bound, slots = _json_entry(json.loads(line), ledger)
                     append(query_id, q_bound)

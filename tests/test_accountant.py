@@ -432,6 +432,23 @@ class TestDerivedRows:
         for q_bound, alphas in booked:
             assert packed(accountant._alphas(q_bound, gamma, grid.values)) == packed(alphas)
 
+    # Sparse and large orders, where e^{2 gamma l} q dominates the sum or the
+    # other term underflows against it: the two copies of the formula part there.
+    @settings(max_examples=200, deadline=None)
+    @given(orders=st.sampled_from([(1, 2, 1000), (7, 10**6), (1, 10**12), (3, 2**53 + 1)])
+           | st.lists(st.integers(min_value=1, max_value=10**15), min_size=1, max_size=6,
+                      unique=True).map(lambda values: tuple(sorted(values))),
+           gamma=st.floats(min_value=1e-300, max_value=20.0)
+           | st.sampled_from([1e-300, 0.05, 0.3, 13.8, 20.0]),
+           fraction=st.floats(min_value=0.0, max_value=1.0))
+    def test_sparse_and_large_grids(self, orders, gamma, fraction):
+        t = q_threshold(gamma)
+        for q in (0.0, 5e-324, 1e-300, fraction * t, math.nextafter(t, 0.0)):
+            with mock.patch.object(accountant, "q_upper_bound", lambda hist, gamma: q):
+                q_bound, alphas = per_query_moment(VoteHistogram((1, 0)), gamma,
+                                                   LambdaGrid(orders))
+            assert packed(accountant._alphas(q_bound, gamma, orders)) == packed(alphas), q
+
     def test_denominator_guard_keeps_the_bounds(self):
         gamma = 20.0
         q = q_threshold(gamma) * (1 - 1e-14)  # 1 - e^(2 gamma) q is 7.1e-15 here
